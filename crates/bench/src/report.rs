@@ -25,7 +25,8 @@
 //! compares (medians are robust to the odd slow sample on shared CI
 //! runners). All numbers are finite.
 
-use crate::minijson::Value;
+use rlp_obs::json::Value;
+use rlp_obs::json_object;
 use std::fmt;
 
 /// Identifier of the bench-document layout produced by [`render_report`].
@@ -66,7 +67,10 @@ fn record_from(value: &Value, context: &str) -> Result<BenchRecord, String> {
         mean_ns: field("mean_ns")?,
         min_ns: field("min_ns")?,
         max_ns: field("max_ns")?,
-        samples: field("samples")? as u64,
+        samples: value
+            .get("samples")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("{context}: missing or non-integer `samples`"))?,
     })
 }
 
@@ -88,33 +92,25 @@ pub fn parse_shards(text: &str) -> Result<Vec<BenchRecord>, String> {
     Ok(records)
 }
 
+/// The documented `rlplanner.bench/v1` document. A non-finite statistic
+/// renders as `null`, which [`parse_report`] rejects by name.
+fn report_value(records: &[BenchRecord]) -> Value {
+    let benchmarks = records.iter().map(|r| {
+        json_object! {
+            "id": r.id.as_str(),
+            "median_ns": r.median_ns,
+            "mean_ns": r.mean_ns,
+            "min_ns": r.min_ns,
+            "max_ns": r.max_ns,
+            "samples": r.samples,
+        }
+    });
+    json_object! { "schema": BENCH_SCHEMA, "benchmarks": Value::array(benchmarks) }
+}
+
 /// Renders records as the documented `rlplanner.bench/v1` document.
 pub fn render_report(records: &[BenchRecord]) -> String {
-    let benchmarks = records
-        .iter()
-        .map(|r| {
-            let escaped: String =
-                r.id.chars()
-                    .flat_map(|c| match c {
-                        '"' => vec!['\\', '"'],
-                        '\\' => vec!['\\', '\\'],
-                        c => vec![c],
-                    })
-                    .collect();
-            format!(
-                "    {{ \"id\": \"{escaped}\", \"median_ns\": {}, \"mean_ns\": {}, \
-                 \"min_ns\": {}, \"max_ns\": {}, \"samples\": {} }}",
-                r.median_ns, r.mean_ns, r.min_ns, r.max_ns, r.samples
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let benchmarks = if benchmarks.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{benchmarks}\n  ]")
-    };
-    format!("{{\n  \"schema\": \"{BENCH_SCHEMA}\",\n  \"benchmarks\": {benchmarks}\n}}")
+    report_value(records).render_pretty()
 }
 
 /// Parses a `rlplanner.bench/v1` document back into records.
@@ -353,5 +349,21 @@ mod tests {
                 "baseline median {bad} must fail the gate"
             );
         }
+    }
+
+    #[test]
+    fn a_nan_median_renders_as_null_and_is_named_on_parse() {
+        let rendered = render_report(&[record("a", f64::NAN)]);
+        let doc = Value::parse(&rendered).expect("the report is valid JSON");
+        let bench = &doc.get("benchmarks").and_then(Value::as_array).unwrap()[0];
+        assert_eq!(bench.get("median_ns"), Some(&Value::Null));
+        let err = parse_report(&rendered).unwrap_err();
+        assert!(err.contains("non-finite `median_ns`"), "{err}");
+    }
+
+    #[test]
+    fn ids_with_quotes_backslashes_and_newlines_round_trip() {
+        let records = vec![record("odd\"id\\path\nline", 10.0)];
+        assert_eq!(parse_report(&render_report(&records)).unwrap(), records);
     }
 }

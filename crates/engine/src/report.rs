@@ -6,9 +6,9 @@
 //! mean/min/max reward), and the campaign-level telemetry — wall-clock,
 //! parallelism and the shared cache's hit/miss/characterisation-time delta.
 //!
-//! [`campaign_json`] renders the report as a hand-rolled JSON document with
-//! the same conventions as [`rlplanner::report`] (stable field order,
-//! RFC 8259 escaping, `null` for non-finite numbers):
+//! [`campaign_json`] renders the report through [`rlp_obs::json`], like
+//! every other document (stable field order, RFC 8259 escaping, `null` for
+//! non-finite numbers):
 //!
 //! # Campaign document ([`campaign_json`])
 //!
@@ -76,8 +76,10 @@
 //! this execution performed.
 
 use rlp_chiplet::ChipletSystem;
+use rlp_obs::json::Value;
+use rlp_obs::json_object;
 use rlp_thermal::ThermalCacheStats;
-use rlplanner::report::{json_escape, json_num, outcome_json};
+use rlplanner::report::outcome_value;
 use rlplanner::{EvalCounts, FloorplanOutcome, PlanError};
 use std::time::Duration;
 
@@ -247,175 +249,99 @@ impl CampaignReport {
     }
 }
 
-fn indent(block: &str, spaces: usize) -> String {
-    let pad = " ".repeat(spaces);
-    block
-        .lines()
-        .enumerate()
-        .map(|(i, line)| {
-            if i == 0 {
-                line.to_string()
-            } else {
-                format!("{pad}{line}")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
+fn secs(d: Duration) -> Value {
+    Value::from(d.as_secs_f64())
 }
 
-fn cell_json(report: &CampaignReport, cell: &CellSummary) -> String {
+fn cell_value(report: &CampaignReport, cell: &CellSummary) -> Value {
     let best = &report.runs[cell.best_run];
-    let seeds = cell
-        .seeds
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-    let fields = format!(
-        "\"system\": \"{}\",\n\
-         \"method\": \"{}\",\n\
-         \"seeds\": [{}],\n\
-         \"best_seed\": {},\n\
-         \"mean_reward\": {},\n\
-         \"min_reward\": {},\n\
-         \"max_reward\": {},\n\
-         \"total_runtime_s\": {},\n\
-         \"evaluations\": {},\n\
-         \"full_evals\": {},\n\
-         \"incremental_evals\": {},\n\
-         \"mean_eval_us\": {},\n\
-         \"episodes_per_s\": {},\n\
-         \"best\": {}",
-        json_escape(&cell.system),
-        json_escape(&cell.method),
-        seeds,
-        best.seed,
-        json_num(cell.mean_reward),
-        json_num(cell.min_reward),
-        json_num(cell.max_reward),
-        json_num(cell.total_runtime.as_secs_f64()),
-        cell.eval_counts.total(),
-        cell.eval_counts.full,
-        cell.eval_counts.incremental,
-        json_num(cell.mean_eval_time.as_secs_f64() * 1e6),
-        cell.episodes_per_s.map_or("null".to_string(), json_num),
-        indent(
-            &outcome_json(&report.systems[cell.system_index], &best.outcome),
-            0
-        ),
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+    json_object! {
+        "system": cell.system.as_str(),
+        "method": cell.method.as_str(),
+        "seeds": Value::array(cell.seeds.iter().copied()),
+        "best_seed": best.seed,
+        "mean_reward": cell.mean_reward,
+        "min_reward": cell.min_reward,
+        "max_reward": cell.max_reward,
+        "total_runtime_s": secs(cell.total_runtime),
+        "evaluations": cell.eval_counts.total(),
+        "full_evals": cell.eval_counts.full,
+        "incremental_evals": cell.eval_counts.incremental,
+        "mean_eval_us": cell.mean_eval_time.as_secs_f64() * 1e6,
+        "episodes_per_s": cell.episodes_per_s,
+        "best": outcome_value(&report.systems[cell.system_index], &best.outcome),
+    }
 }
 
-fn run_json(run: &RunRecord) -> String {
-    format!(
-        "{{ \"index\": {}, \"system\": \"{}\", \"method\": \"{}\", \"seed\": {}, \"reward\": {}, \"wirelength_mm\": {}, \"max_temperature_c\": {}, \"evaluations\": {}, \"eval_mode\": \"{}\", \"full_evals\": {}, \"incremental_evals\": {}, \"runtime_s\": {}, \"cache_hits\": {}, \"cache_misses\": {} }}",
-        run.index,
-        json_escape(&run.system),
-        json_escape(&run.method),
-        run.seed,
-        json_num(run.outcome.breakdown.reward),
-        json_num(run.outcome.breakdown.wirelength_mm),
-        json_num(run.outcome.breakdown.max_temperature_c),
-        run.outcome.evaluations,
-        run.outcome.evaluation.mode.label(),
-        run.outcome.evaluation.counts.full,
-        run.outcome.evaluation.counts.incremental,
-        json_num(run.outcome.runtime.as_secs_f64()),
-        run.outcome.thermal_prep.cache_hits,
-        run.outcome.thermal_prep.cache_misses,
-    )
+fn run_value(run: &RunRecord) -> Value {
+    let outcome = &run.outcome;
+    json_object! {
+        "index": run.index,
+        "system": run.system.as_str(),
+        "method": run.method.as_str(),
+        "seed": run.seed,
+        "reward": outcome.breakdown.reward,
+        "wirelength_mm": outcome.breakdown.wirelength_mm,
+        "max_temperature_c": outcome.breakdown.max_temperature_c,
+        "evaluations": outcome.evaluations,
+        "eval_mode": outcome.evaluation.mode.label(),
+        "full_evals": outcome.evaluation.counts.full,
+        "incremental_evals": outcome.evaluation.counts.incremental,
+        "runtime_s": secs(outcome.runtime),
+        "cache_hits": outcome.thermal_prep.cache_hits,
+        "cache_misses": outcome.thermal_prep.cache_misses,
+    }
 }
 
-fn failure_json(failure: &RunFailure) -> String {
-    format!(
-        "{{ \"index\": {}, \"system\": \"{}\", \"system_index\": {}, \"method\": \"{}\", \"seed\": {}, \"error\": \"{}\" }}",
-        failure.index,
-        json_escape(&failure.system),
-        failure.system_index,
-        json_escape(&failure.method),
-        failure.seed,
-        json_escape(&failure.error.to_string()),
-    )
+fn failure_value(failure: &RunFailure) -> Value {
+    json_object! {
+        "index": failure.index,
+        "system": failure.system.as_str(),
+        "system_index": failure.system_index,
+        "method": failure.method.as_str(),
+        "seed": failure.seed,
+        "error": failure.error.to_string(),
+    }
 }
 
-fn scheduler_json(scheduler: &SchedulerTelemetry) -> String {
-    let workers = array_json(
-        scheduler
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(worker, telemetry)| {
-                format!(
-                    "{{ \"worker\": {}, \"busy_s\": {}, \"executed\": {} }}",
-                    worker,
-                    json_num(telemetry.busy.as_secs_f64()),
-                    telemetry.runs,
-                )
-            })
-            .collect(),
-    );
-    let drain = array_json(
-        scheduler
-            .drain
-            .iter()
-            .map(|event| {
-                format!(
-                    "{{ \"index\": {}, \"worker\": {}, \"started_s\": {}, \"finished_s\": {} }}",
-                    event.index,
-                    event.worker,
-                    json_num(event.started.as_secs_f64()),
-                    json_num(event.finished.as_secs_f64()),
-                )
-            })
-            .collect(),
-    );
-    let fields = format!("\"workers\": {workers},\n\"drain\": {drain}");
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+fn scheduler_value(scheduler: &SchedulerTelemetry) -> Value {
+    let workers = scheduler.workers.iter().enumerate().map(|(worker, telemetry)| {
+        json_object! { "worker": worker, "busy_s": secs(telemetry.busy), "executed": telemetry.runs }
+    });
+    let drain = scheduler.drain.iter().map(|event| {
+        json_object! {
+            "index": event.index,
+            "worker": event.worker,
+            "started_s": secs(event.started),
+            "finished_s": secs(event.finished),
+        }
+    });
+    json_object! { "workers": Value::array(workers), "drain": Value::array(drain) }
 }
 
-fn array_json(items: Vec<String>) -> String {
-    if items.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n  {}\n]", indent(&items.join(",\n"), 2))
+/// The documented campaign document (see the [module docs](self)).
+fn campaign_value(report: &CampaignReport) -> Value {
+    let cells = report.cells.iter().map(|cell| cell_value(report, cell));
+    json_object! {
+        "schema": CAMPAIGN_SCHEMA,
+        "parallelism": report.parallelism,
+        "resumed_runs": report.resumed_runs,
+        "wall_clock_s": secs(report.wall_clock),
+        "cache": json_object! {
+            "hits": report.cache.hits,
+            "misses": report.cache.misses,
+            "characterization_s": secs(report.cache.characterization_time),
+        },
+        "scheduler": scheduler_value(&report.scheduler),
+        "cells": Value::array(cells),
+        "runs": Value::array(report.runs.iter().map(run_value)),
+        "failures": Value::array(report.failures.iter().map(failure_value)),
     }
 }
 
 /// Renders a campaign report as the documented campaign document.
 pub fn campaign_json(report: &CampaignReport) -> String {
-    let cells = array_json(
-        report
-            .cells
-            .iter()
-            .map(|cell| cell_json(report, cell))
-            .collect(),
-    );
-    let runs = array_json(report.runs.iter().map(run_json).collect());
-    let failures = array_json(report.failures.iter().map(failure_json).collect());
-    let fields = format!(
-        "\"schema\": \"{}\",\n\
-         \"parallelism\": {},\n\
-         \"resumed_runs\": {},\n\
-         \"wall_clock_s\": {},\n\
-         \"cache\": {{ \"hits\": {}, \"misses\": {}, \"characterization_s\": {} }},\n\
-         \"scheduler\": {},\n\
-         \"cells\": {},\n\
-         \"runs\": {},\n\
-         \"failures\": {}",
-        CAMPAIGN_SCHEMA,
-        report.parallelism,
-        report.resumed_runs,
-        json_num(report.wall_clock.as_secs_f64()),
-        report.cache.hits,
-        report.cache.misses,
-        json_num(report.cache.characterization_time.as_secs_f64()),
-        indent(&scheduler_json(&report.scheduler), 2),
-        cells,
-        runs,
-        failures,
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+    campaign_value(report).render_pretty()
 }
 
 #[cfg(test)]

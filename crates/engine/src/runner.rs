@@ -40,8 +40,8 @@ use crate::report::{
 };
 use crate::sink::{NullSink, RunEvent, RunSink, RUN_RECORD_SCHEMA};
 use crate::spec::{CampaignSpec, RunSpec};
+use rlp_obs::json::Value;
 use rlp_thermal::ThermalModelCache;
-use rlplanner::minijson::Value;
 use rlplanner::{FloorplanOutcome, PlanError, PrebuiltThermal};
 use std::error::Error;
 use std::fmt;
@@ -401,41 +401,26 @@ fn resume_record(
         reason,
     };
     let value = Value::parse(line).map_err(|err| fail(format!("invalid JSON: {err}")))?;
-    let schema = value
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or_else(|| fail("missing `schema` field".to_string()))?;
+    let schema = value.field("schema", Value::as_str).map_err(fail)?;
     if schema != RUN_RECORD_SCHEMA {
         return Err(fail(format!(
             "unknown schema `{schema}` (expected `{RUN_RECORD_SCHEMA}`)"
         )));
     }
-    let index = value
-        .get("index")
-        .and_then(Value::as_f64)
-        .filter(|v| v.fract() == 0.0 && (0.0..=9.007_199_254_740_992e15).contains(v))
-        .map(|v| v as usize)
-        .ok_or_else(|| fail("missing or invalid `index` field".to_string()))?;
+    let index = value.field("index", Value::as_usize).map_err(fail)?;
     if index >= runs.len() {
         return Err(fail(format!(
             "grid index {index} out of range for this spec ({} runs)",
             runs.len()
         )));
     }
-    let status = value
-        .get("status")
-        .and_then(Value::as_str)
-        .ok_or_else(|| fail("missing `status` field".to_string()))?;
-    match status {
+    match value.field("status", Value::as_str).map_err(fail)? {
         "error" => Ok(None),
         "ok" => {
             let run = runs[index];
             let method = &spec.methods()[run.method];
             let system = &spec.systems()[run.system];
-            let record_system = value
-                .get("system")
-                .and_then(Value::as_str)
-                .ok_or_else(|| fail("missing `system` field".to_string()))?;
+            let record_system = value.field("system", Value::as_str).map_err(fail)?;
             if record_system != system.name() {
                 return Err(fail(format!(
                     "grid index {index} is system `{}` in this spec but `{record_system}` \
@@ -443,10 +428,7 @@ fn resume_record(
                     system.name()
                 )));
             }
-            let record_method = value
-                .get("method")
-                .and_then(Value::as_str)
-                .ok_or_else(|| fail("missing `method` field".to_string()))?;
+            let record_method = value.field("method", Value::as_str).map_err(fail)?;
             if record_method != method.label() {
                 return Err(fail(format!(
                     "grid index {index} is method `{}` in this spec but `{record_method}` \
@@ -454,12 +436,7 @@ fn resume_record(
                     method.label()
                 )));
             }
-            let record_seed = value
-                .get("seed")
-                .and_then(Value::as_f64)
-                .filter(|v| v.fract() == 0.0 && (0.0..=9.007_199_254_740_992e15).contains(v))
-                .map(|v| v as u64)
-                .ok_or_else(|| fail("missing or invalid `seed` field".to_string()))?;
+            let record_seed = value.field("seed", Value::as_u64).map_err(fail)?;
             let expected_seed = run.seed.unwrap_or_else(|| method.method().config_seed());
             if record_seed != expected_seed {
                 return Err(fail(format!(
@@ -468,9 +445,7 @@ fn resume_record(
                      different spec"
                 )));
             }
-            let outcome_value = value
-                .get("outcome")
-                .ok_or_else(|| fail("missing `outcome` field".to_string()))?;
+            let outcome_value = value.field("outcome", Some).map_err(fail)?;
             let outcome = rlplanner::outcome_from_value(outcome_value, system)
                 .map_err(|err| fail(format!("grid index {index}: {err}")))?;
             if outcome.manifest.seed != expected_seed {

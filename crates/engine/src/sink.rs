@@ -34,19 +34,21 @@
 //! `index` is the run's position in the spec's canonical grid order
 //! (systems outermost, then methods, then seeds) — the key a resumed
 //! campaign matches records against its spec with. An `ok` record embeds
-//! the full `rlplanner.outcome/v1` document (flattened to one line via
-//! [`rlplanner::minijson`]'s canonical render) plus the per-run cache and
+//! the full `rlplanner.outcome/v1` document (compact, like the whole line;
+//! see [`rlp_obs::json`]) plus the per-run cache and
 //! evaluation telemetry; [`rlplanner::outcome_from_value`] reconstructs the
 //! outcome losslessly on resume. An `error` record carries the rendered
 //! solve error only — resume retries it.
 
 use crate::report::{RunFailure, RunRecord};
 use rlp_chiplet::ChipletSystem;
-use rlplanner::minijson::Value;
-use rlplanner::report::{json_escape, json_num, outcome_json};
+use rlp_obs::json::Value;
+use rlp_obs::json_object;
+use rlplanner::report::outcome_value;
 use std::fs::OpenOptions;
 use std::io::{self, BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// Identifier of the single-line run-record layout streamed by
 /// [`crate::CampaignEngine::run_streamed`]; see the [module docs](self).
@@ -80,42 +82,47 @@ impl RunEvent<'_> {
         }
     }
 
-    /// Renders the event as one `rlplanner.campaign-run/v1` line (no
-    /// trailing newline).
-    pub fn to_jsonl(&self) -> String {
+    /// The event as one `rlplanner.campaign-run/v1` record.
+    fn record(&self) -> Value {
+        let secs = |d: Duration| Value::from(d.as_secs_f64());
         match self {
             RunEvent::Completed { run, system } => {
-                let doc = outcome_json(system, &run.outcome);
-                let outcome = Value::parse(&doc)
-                    .expect("outcome documents are valid JSON")
-                    .render();
-                format!(
-                    "{{\"schema\":\"{RUN_RECORD_SCHEMA}\",\"index\":{},\"status\":\"ok\",\"system\":\"{}\",\"system_index\":{},\"method\":\"{}\",\"seed\":{},\"evaluations\":{},\"full_evals\":{},\"incremental_evals\":{},\"runtime_s\":{},\"cache_hits\":{},\"cache_misses\":{},\"characterization_s\":{},\"outcome\":{}}}",
-                    run.index,
-                    json_escape(&run.system),
-                    run.system_index,
-                    json_escape(&run.method),
-                    run.seed,
-                    run.outcome.evaluations,
-                    run.outcome.evaluation.counts.full,
-                    run.outcome.evaluation.counts.incremental,
-                    json_num(run.outcome.runtime.as_secs_f64()),
-                    run.outcome.thermal_prep.cache_hits,
-                    run.outcome.thermal_prep.cache_misses,
-                    json_num(run.outcome.thermal_prep.characterization.as_secs_f64()),
-                    outcome,
-                )
+                let outcome = &run.outcome;
+                json_object! {
+                    "schema": RUN_RECORD_SCHEMA,
+                    "index": run.index,
+                    "status": "ok",
+                    "system": run.system.as_str(),
+                    "system_index": run.system_index,
+                    "method": run.method.as_str(),
+                    "seed": run.seed,
+                    "evaluations": outcome.evaluations,
+                    "full_evals": outcome.evaluation.counts.full,
+                    "incremental_evals": outcome.evaluation.counts.incremental,
+                    "runtime_s": secs(outcome.runtime),
+                    "cache_hits": outcome.thermal_prep.cache_hits,
+                    "cache_misses": outcome.thermal_prep.cache_misses,
+                    "characterization_s": secs(outcome.thermal_prep.characterization),
+                    "outcome": outcome_value(system, outcome),
+                }
             }
-            RunEvent::Failed { failure } => format!(
-                "{{\"schema\":\"{RUN_RECORD_SCHEMA}\",\"index\":{},\"status\":\"error\",\"system\":\"{}\",\"system_index\":{},\"method\":\"{}\",\"seed\":{},\"error\":\"{}\"}}",
-                failure.index,
-                json_escape(&failure.system),
-                failure.system_index,
-                json_escape(&failure.method),
-                failure.seed,
-                json_escape(&failure.error.to_string()),
-            ),
+            RunEvent::Failed { failure } => json_object! {
+                "schema": RUN_RECORD_SCHEMA,
+                "index": failure.index,
+                "status": "error",
+                "system": failure.system.as_str(),
+                "system_index": failure.system_index,
+                "method": failure.method.as_str(),
+                "seed": failure.seed,
+                "error": failure.error.to_string(),
+            },
         }
+    }
+
+    /// Renders the event as one compact `rlplanner.campaign-run/v1` line
+    /// (no trailing newline).
+    pub fn to_jsonl(&self) -> String {
+        self.record().render()
     }
 }
 

@@ -14,9 +14,9 @@ use rlp_engine::{
     CampaignEngine, CampaignError, CampaignMethod, CampaignSpec, JsonlSink, MemorySink, RunEvent,
     RunSink,
 };
+use rlp_obs::json::Value;
 use rlp_sa::SaConfig;
 use rlp_thermal::{ThermalBackend, ThermalConfig};
-use rlplanner::minijson::Value;
 use rlplanner::{Budget, Method};
 use std::io;
 use std::path::PathBuf;
@@ -40,6 +40,10 @@ fn grid_backend() -> ThermalBackend {
 /// A 2-method × 2-seed serial grid (4 runs): small enough to execute many
 /// times per test, serial so the stream order is the grid order.
 fn serial_spec() -> CampaignSpec {
+    serial_spec_with_seeds([1, 2])
+}
+
+fn serial_spec_with_seeds(seeds: [u64; 2]) -> CampaignSpec {
     CampaignSpec::builder()
         .system(tiny_system())
         .method(CampaignMethod::new("sa", Method::sa(), grid_backend()))
@@ -53,7 +57,7 @@ fn serial_spec() -> CampaignSpec {
             },
             grid_backend(),
         ))
-        .seeds([1, 2])
+        .seeds(seeds)
         .budget(Budget::Evaluations(12))
         .parallelism(1)
         .build()
@@ -212,16 +216,23 @@ fn truncated_stream_resumes_to_the_uninterrupted_result() {
 
 #[test]
 fn resuming_a_complete_stream_executes_nothing() {
-    let spec = serial_spec();
+    // The second spec's seed 2^53 + 1 has no exact f64: its records must
+    // resume with the seed they were run with, not a rounded neighbour.
+    for seeds in [[1, 2], [1, (1u64 << 53) + 1]] {
+        resume_complete_stream(&serial_spec_with_seeds(seeds));
+    }
+}
+
+fn resume_complete_stream(spec: &CampaignSpec) {
     let engine = CampaignEngine::new();
     let mut first = MemorySink::new();
     let original = engine
-        .run_streamed(&spec, &mut first)
+        .run_streamed(spec, &mut first)
         .expect("streamed campaign");
 
     let mut replay = MemorySink::with_prior(first.lines().to_vec());
     let resumed = engine
-        .run_streamed(&spec, &mut replay)
+        .run_streamed(spec, &mut replay)
         .expect("resumed campaign");
     assert_eq!(resumed.resumed_runs, 4);
     assert!(replay.lines().is_empty(), "nothing new to emit");
@@ -229,6 +240,8 @@ fn resuming_a_complete_stream_executes_nothing() {
     assert_eq!(executed, 0);
     assert_eq!(resumed.runs.len(), original.runs.len());
     for (a, b) in original.runs.iter().zip(&resumed.runs) {
+        assert_eq!(a.seed, b.seed);
+        assert_eq!(a.outcome.manifest.seed, b.outcome.manifest.seed);
         assert_eq!(a.outcome.breakdown.reward, b.outcome.breakdown.reward);
         assert_eq!(a.outcome.placement, b.outcome.placement);
     }

@@ -1,7 +1,9 @@
 //! `rlp-obs`: the workspace's observability substrate — a process-wide
 //! metrics registry (counters, gauges, log-scale latency histograms with
 //! percentile extraction, rendered as `rlplanner.metrics/v1` JSON) plus
-//! structured, levelled events and spans with pluggable sinks.
+//! structured, levelled events and spans with pluggable sinks — and the
+//! workspace's one JSON module, [`json`], which every document is built,
+//! rendered and parsed with.
 //!
 //! Hand-rolled on `std` only: the build environment vendors its few
 //! dependencies and this crate sits *beneath* every other workspace crate,
@@ -38,13 +40,14 @@
 //! let _span = obs_span!(Level::Debug, "doc", "solve", job = 3u64);
 //! ```
 
+pub mod json;
 pub mod log;
 pub mod metrics;
 
 pub use crate::log::{
     add_sink, emit, event, inert_span, init_from_env, log_enabled, max_level, monotonic_ns,
-    set_max_level, set_sinks, span, FieldValue, JsonlSink, Level, LogRecord, LogSink, RecordKind,
-    SpanGuard, StderrSink,
+    set_max_level, set_sinks, span, JsonlSink, Level, LogRecord, LogSink, RecordKind, SpanGuard,
+    StderrSink,
 };
 pub use crate::metrics::{
     metrics_enabled, registry, set_metrics_enabled, Counter, Gauge, Histogram, HistogramSnapshot,

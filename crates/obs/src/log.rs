@@ -29,6 +29,8 @@
 //! design: the interesting datum is the duration, and the start time is
 //! recoverable as `t_ns - elapsed_ns`.
 
+use crate::json::Value;
+use crate::json_object;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -122,69 +124,6 @@ pub fn monotonic_ns() -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// A typed structured-field value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Float (rendered as JSON `null` when non-finite).
-    F64(f64),
-    /// Boolean.
-    Bool(bool),
-    /// String (JSON-escaped in machine sinks).
-    Str(String),
-}
-
-impl From<u64> for FieldValue {
-    fn from(v: u64) -> Self {
-        FieldValue::U64(v)
-    }
-}
-
-impl From<usize> for FieldValue {
-    fn from(v: usize) -> Self {
-        FieldValue::U64(v as u64)
-    }
-}
-
-impl From<u32> for FieldValue {
-    fn from(v: u32) -> Self {
-        FieldValue::U64(u64::from(v))
-    }
-}
-
-impl From<i64> for FieldValue {
-    fn from(v: i64) -> Self {
-        FieldValue::I64(v)
-    }
-}
-
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> Self {
-        FieldValue::F64(v)
-    }
-}
-
-impl From<bool> for FieldValue {
-    fn from(v: bool) -> Self {
-        FieldValue::Bool(v)
-    }
-}
-
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_string())
-    }
-}
-
-impl From<String> for FieldValue {
-    fn from(v: String) -> Self {
-        FieldValue::Str(v)
-    }
-}
-
 /// What kind of record this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
@@ -209,8 +148,8 @@ pub struct LogRecord {
     pub message: String,
     /// Span duration; `Some` iff `kind` is [`RecordKind::SpanEnd`].
     pub elapsed_ns: Option<u64>,
-    /// Typed key/value context.
-    pub fields: Vec<(&'static str, FieldValue)>,
+    /// Typed key/value context (JSON scalars).
+    pub fields: Vec<(&'static str, Value)>,
 }
 
 /// Where records go. Implementations must be `Send + Sync`; dispatch may
@@ -245,11 +184,8 @@ impl LogSink for StderrSink {
         }
         for (key, value) in &record.fields {
             match value {
-                FieldValue::U64(v) => _ = write!(line, " {key}={v}"),
-                FieldValue::I64(v) => _ = write!(line, " {key}={v}"),
-                FieldValue::F64(v) => _ = write!(line, " {key}={v}"),
-                FieldValue::Bool(v) => _ = write!(line, " {key}={v}"),
-                FieldValue::Str(v) => _ = write!(line, " {key}={v}"),
+                Value::Str(v) => _ = write!(line, " {key}={v}"),
+                v => _ = write!(line, " {key}={}", v.render()),
             }
         }
         eprintln!("{line}");
@@ -279,42 +215,28 @@ impl JsonlSink {
     }
 
     fn render(record: &LogRecord) -> String {
-        let mut line = String::with_capacity(160);
-        let _ = write!(
-            line,
-            "{{\"t_ns\":{},\"level\":\"{}\",\"target\":\"{}\",\"kind\":\"{}\",\"message\":\"{}\"",
-            record.t_ns,
-            record.level.label(),
-            record.target,
-            match record.kind {
-                RecordKind::Event => "event",
-                RecordKind::SpanEnd => "span",
-            },
-            escape(&record.message),
-        );
+        let kind = match record.kind {
+            RecordKind::Event => "event",
+            RecordKind::SpanEnd => "span",
+        };
+        let mut line = json_object! {
+            "t_ns": record.t_ns,
+            "level": record.level.label(),
+            "target": record.target,
+            "kind": kind,
+            "message": record.message.as_str(),
+        };
         if let Some(elapsed) = record.elapsed_ns {
-            let _ = write!(line, ",\"elapsed_ns\":{elapsed}");
+            line.push("elapsed_ns", elapsed);
         }
         if !record.fields.is_empty() {
-            line.push_str(",\"fields\":{");
-            for (i, (key, value)) in record.fields.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                let _ = write!(line, "\"{}\":", escape(key));
-                match value {
-                    FieldValue::U64(v) => _ = write!(line, "{v}"),
-                    FieldValue::I64(v) => _ = write!(line, "{v}"),
-                    FieldValue::F64(v) if v.is_finite() => _ = write!(line, "{v}"),
-                    FieldValue::F64(_) => line.push_str("null"),
-                    FieldValue::Bool(v) => _ = write!(line, "{v}"),
-                    FieldValue::Str(v) => _ = write!(line, "\"{}\"", escape(v)),
-                }
-            }
-            line.push('}');
+            let fields = record
+                .fields
+                .iter()
+                .map(|(key, value)| (*key, value.clone()));
+            line.push("fields", Value::object(fields));
         }
-        line.push('}');
-        line
+        line.render()
     }
 }
 
@@ -325,24 +247,6 @@ impl LogSink for JsonlSink {
         let _ = writeln!(out, "{line}");
         let _ = out.flush();
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn sinks() -> &'static RwLock<Vec<Arc<dyn LogSink>>> {
@@ -380,7 +284,7 @@ pub fn event(
     level: Level,
     target: &'static str,
     message: impl Into<String>,
-    fields: Vec<(&'static str, FieldValue)>,
+    fields: Vec<(&'static str, Value)>,
 ) {
     if !log_enabled(level) {
         return;
@@ -403,7 +307,7 @@ pub fn span(
     level: Level,
     target: &'static str,
     name: impl Into<String>,
-    fields: Vec<(&'static str, FieldValue)>,
+    fields: Vec<(&'static str, Value)>,
 ) -> SpanGuard {
     if !log_enabled(level) {
         return SpanGuard(None);
@@ -422,7 +326,7 @@ struct SpanInner {
     level: Level,
     target: &'static str,
     name: String,
-    fields: Vec<(&'static str, FieldValue)>,
+    fields: Vec<(&'static str, Value)>,
 }
 
 /// Emits its span's end record (with `elapsed_ns`) on drop; see [`span`].
@@ -432,7 +336,7 @@ pub struct SpanGuard(Option<SpanInner>);
 impl SpanGuard {
     /// Attaches another field to the eventual end record — handy for
     /// results only known mid-span.
-    pub fn field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
+    pub fn field(&mut self, key: &'static str, value: impl Into<Value>) {
         if let Some(inner) = &mut self.0 {
             inner.fields.push((key, value.into()));
         }
@@ -477,7 +381,7 @@ macro_rules! obs_event {
                 $level,
                 $target,
                 format!($fmt),
-                vec![$((stringify!($key), $crate::FieldValue::from($value))),*],
+                vec![$((stringify!($key), $crate::json::Value::from($value))),*],
             );
         }
     };
@@ -495,7 +399,7 @@ macro_rules! obs_span {
                 $level,
                 $target,
                 $name,
-                vec![$((stringify!($key), $crate::FieldValue::from($value))),*],
+                vec![$((stringify!($key), $crate::json::Value::from($value))),*],
             )
         } else {
             $crate::inert_span()
@@ -598,7 +502,7 @@ mod tests {
         let records = sink.records.lock().unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].message, "kept");
-        assert_eq!(records[0].fields, vec![("k", FieldValue::U64(7))]);
+        assert_eq!(records[0].fields, vec![("k", Value::Int(7))]);
         assert_eq!(records[0].kind, RecordKind::Event);
         drop(records);
         set_sinks(Vec::new());
@@ -627,10 +531,7 @@ mod tests {
         assert!(records[0].elapsed_ns.is_some());
         assert_eq!(
             records[0].fields,
-            vec![
-                ("job", FieldValue::U64(3)),
-                ("result", FieldValue::Str("ok".into()))
-            ]
+            vec![("job", Value::Int(3)), ("result", Value::Str("ok".into()))]
         );
         drop(records);
         set_sinks(Vec::new());
@@ -646,9 +547,9 @@ mod tests {
             message: "a \"quoted\"\nname".to_string(),
             elapsed_ns: Some(1000),
             fields: vec![
-                ("n", FieldValue::I64(-2)),
-                ("x", FieldValue::F64(f64::NAN)),
-                ("s", FieldValue::Str("tab\there".into())),
+                ("n", Value::from(-2i64)),
+                ("x", Value::Num(f64::NAN)),
+                ("s", Value::Str("tab\there".into())),
             ],
         };
         let line = JsonlSink::render(&record);

@@ -25,6 +25,8 @@
 //! Because the grid is global and fixed, per-thread histograms merge by
 //! adding bucket counts, and percentile extraction is a cumulative walk.
 
+use crate::json::Value;
+use crate::json_object;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -466,88 +468,63 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Renders the documented `rlplanner.metrics/v1` document:
+    /// Renders the documented `rlplanner.metrics/v1` document, compact
+    /// (see [`MetricsSnapshot::to_value`]).
+    pub fn render_json(&self) -> String {
+        self.to_value().render()
+    }
+
+    /// The documented `rlplanner.metrics/v1` document:
     ///
     /// ```json
-    /// { "schema": "rlplanner.metrics/v1", "uptime_s": 12.345678,
-    ///   "counters": { "thermal.cache.hits": 7 },
-    ///   "gauges": { "serve.queue.depth": 0 },
-    ///   "histograms": { "serve.job.solve_ns": {
-    ///       "count": 3, "sum": 450000000, "min": 120000000, "max": 190000000,
-    ///       "p50": 159383551, "p90": 191889407, "p99": 191889407,
-    ///       "buckets": [ { "le": 127506431, "count": 1 }, ... ] } } }
+    /// {"schema":"rlplanner.metrics/v1","uptime_s":12.345678,
+    ///  "counters":{"thermal.cache.hits":7},
+    ///  "gauges":{"serve.queue.depth":0},
+    ///  "histograms":{"serve.job.solve_ns":{
+    ///    "count":3,"sum":450000000,"min":120000000,"max":190000000,
+    ///    "p50":159383551,"p90":191889407,"p99":191889407,
+    ///    "buckets":[{"le":127506431,"count":1},...]}}}
     /// ```
     ///
     /// Histogram `min`/`max` are exact recorded values; `p50`/`p90`/`p99`
     /// and bucket `le` bounds are bucket upper bounds (≤ 25% relative
     /// error). Only non-empty buckets are listed.
-    pub fn render_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{ \"schema\": \"");
-        out.push_str(METRICS_SCHEMA);
-        out.push_str("\", \"uptime_s\": ");
-        out.push_str(&format!("{:.6}", self.uptime.as_secs_f64()));
-        out.push_str(", \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    pub fn to_value(&self) -> Value {
+        let histogram = |h: &HistogramSnapshot| {
+            let buckets = h
+                .nonempty_buckets()
+                .map(|(le, count)| json_object! { "le": le, "count": count });
+            json_object! {
+                "count": h.count(),
+                "sum": h.sum(),
+                "min": h.min().unwrap_or(0),
+                "max": h.max().unwrap_or(0),
+                "p50": h.percentile(0.50),
+                "p90": h.percentile(0.90),
+                "p99": h.percentile(0.99),
+                "buckets": Value::array(buckets),
             }
-            out.push_str(&format!(" \"{}\": {value}", json_escape(name)));
-        }
-        out.push_str(" }, \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(" \"{}\": {value}", json_escape(name)));
-        }
-        out.push_str(" }, \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                " \"{}\": {{ \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                json_escape(name),
-                h.count(),
-                h.sum(),
-                h.min().unwrap_or(0),
-                h.max().unwrap_or(0),
-                h.percentile(0.50),
-                h.percentile(0.90),
-                h.percentile(0.99),
-            ));
-            for (j, (le, count)) in h.nonempty_buckets().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(" {{ \"le\": {le}, \"count\": {count} }}"));
-            }
-            out.push_str(" ] }");
-        }
-        out.push_str(" } }");
-        out
-    }
-}
-
-/// Minimal JSON string escaping for metric names (the full workspace
-/// escaper lives in `rlplanner::report`; obs is a leaf crate and cannot
-/// depend on it).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+        };
+        let counters = self
+            .counters
+            .iter()
+            .map(|(n, v)| (n.as_str(), Value::from(*v)));
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(n, v)| (n.as_str(), Value::from(*v)));
+        let histograms = self
+            .histograms
+            .iter()
+            .map(|(n, h)| (n.as_str(), histogram(h)));
+        json_object! {
+            "schema": METRICS_SCHEMA,
+            "uptime_s": self.uptime.as_secs_f64(),
+            "counters": Value::object(counters),
+            "gauges": Value::object(gauges),
+            "histograms": Value::object(histograms),
         }
     }
-    out
 }
 
 static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
@@ -758,23 +735,40 @@ mod tests {
         registry.histogram("c.lat_ns").record(5);
         registry.histogram("c.lat_ns").record(1000);
         let json = registry.snapshot().render_json();
-        assert!(json.starts_with("{ \"schema\": \"rlplanner.metrics/v1\""));
-        assert!(json.contains("\"uptime_s\": "));
-        assert!(json.contains("\"a.count\": 3"));
-        assert!(json.contains("\"b.depth\": -2"));
-        assert!(json.contains("\"count\": 2"));
-        assert!(json.contains("\"sum\": 1005"));
-        assert!(json.contains("\"min\": 5"));
-        assert!(json.contains("\"max\": 1000"));
-        assert!(json.contains("\"p50\": "));
-        assert!(json.contains("\"p90\": "));
-        assert!(json.contains("\"p99\": "));
-        assert!(json.contains("\"le\": 5, \"count\": 1"));
-        // Balanced braces/brackets — cheap structural sanity without a
-        // parser (obs is beneath rlplanner and cannot use minijson; the
-        // daemon test and CI smoke parse the full document).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(!json.contains('\n'), "the snapshot is one compact line");
+        let doc = Value::parse(&json).expect("the snapshot is valid JSON");
+        let keys: Vec<&str> = match &doc {
+            Value::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys,
+            ["schema", "uptime_s", "counters", "gauges", "histograms"]
+        );
+        assert_eq!(
+            doc.get("schema").and_then(Value::as_str),
+            Some("rlplanner.metrics/v1")
+        );
+        assert!(doc.get("uptime_s").and_then(Value::as_f64).is_some());
+        let counters = doc.get("counters").unwrap();
+        assert_eq!(counters.get("a.count").and_then(Value::as_u64), Some(3));
+        let gauges = doc.get("gauges").unwrap();
+        assert_eq!(gauges.get("b.depth").and_then(Value::as_f64), Some(-2.0));
+        let hist = doc
+            .get("histograms")
+            .and_then(|h| h.get("c.lat_ns"))
+            .unwrap();
+        let field = |key: &str| hist.get(key).and_then(Value::as_u64);
+        assert_eq!(field("count"), Some(2));
+        assert_eq!(field("sum"), Some(1005));
+        assert_eq!(field("min"), Some(5));
+        assert_eq!(field("max"), Some(1000));
+        for key in ["p50", "p90", "p99"] {
+            assert!(field(key).is_some(), "missing {key}");
+        }
+        let first_bucket = &hist.get("buckets").and_then(Value::as_array).unwrap()[0];
+        assert_eq!(first_bucket.get("le").and_then(Value::as_u64), Some(5));
+        assert_eq!(first_bucket.get("count").and_then(Value::as_u64), Some(1));
     }
 
     #[test]

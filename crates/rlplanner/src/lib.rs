@@ -87,7 +87,6 @@ pub mod baseline;
 pub mod env;
 pub mod facade;
 pub mod gradient;
-pub mod minijson;
 pub mod outcome;
 pub mod parse;
 pub mod planner;

@@ -26,7 +26,6 @@
 //! the invariant the campaign resume path relies on.
 
 use crate::gradient::GradientConfig;
-use crate::minijson::Value;
 use crate::outcome::{
     EvalTelemetry, FloorplanOutcome, RunManifest, TelemetrySample, TrainingTelemetry,
 };
@@ -37,6 +36,7 @@ use crate::reward::{RewardBreakdown, RewardConfig};
 use crate::{AgentConfig, EnvConfig};
 use rlp_chiplet::bumps::BumpConfig;
 use rlp_chiplet::{Chiplet, ChipletId, ChipletSystem, Net, Placement, Position, Rotation};
+use rlp_obs::json::Value;
 use rlp_rl::PpoConfig;
 use rlp_sa::{EvalCounts, EvalMode, SaConfig};
 use rlp_thermal::{
@@ -61,10 +61,143 @@ impl fmt::Display for OutcomeParseError {
 
 impl std::error::Error for OutcomeParseError {}
 
-fn err<T>(message: impl Into<String>) -> Result<T, OutcomeParseError> {
+type Parsed<T> = Result<T, OutcomeParseError>;
+
+fn err<T>(message: impl Into<String>) -> Parsed<T> {
     Err(OutcomeParseError {
         message: message.into(),
     })
+}
+
+fn parse_text(text: &str) -> Parsed<Value> {
+    Value::parse(text).or_else(|e| err(e.to_string()))
+}
+
+/// One object of a document being read, named by its path so every error
+/// message is fully qualified (`manifest.method.seed`).
+struct Fields<'a> {
+    value: &'a Value,
+    path: String,
+}
+
+impl<'a> Fields<'a> {
+    fn root(value: &'a Value) -> Self {
+        Fields {
+            value,
+            path: String::new(),
+        }
+    }
+
+    fn name(&self, key: &str) -> String {
+        if self.path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{}.{key}", self.path)
+        }
+    }
+
+    fn get(&self, key: &str) -> Parsed<&'a Value> {
+        match self.value.get(key) {
+            Some(value) => Ok(value),
+            None => err(format!("missing field `{}`", self.name(key))),
+        }
+    }
+
+    /// Reads `key` with `read`; a `None` is an error saying the field must
+    /// be `what`.
+    fn read<T>(
+        &self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Parsed<T> {
+        match read(self.get(key)?) {
+            Some(value) => Ok(value),
+            None => err(format!("field `{}` must be {what}", self.name(key))),
+        }
+    }
+
+    /// `None` for `null`, otherwise `read(self, key)`.
+    fn opt<T>(&self, key: &str, read: impl FnOnce(&Self, &str) -> Parsed<T>) -> Parsed<Option<T>> {
+        match self.get(key)? {
+            Value::Null => Ok(None),
+            _ => read(self, key).map(Some),
+        }
+    }
+
+    fn str(&self, key: &str) -> Parsed<&'a str> {
+        self.read(key, "a string", Value::as_str)
+    }
+
+    fn bool(&self, key: &str) -> Parsed<bool> {
+        self.read(key, "a boolean", Value::as_bool)
+    }
+
+    fn usize(&self, key: &str) -> Parsed<usize> {
+        self.read(key, "a non-negative integer", Value::as_usize)
+    }
+
+    fn u64(&self, key: &str) -> Parsed<u64> {
+        self.read(key, "a non-negative integer", Value::as_u64)
+    }
+
+    /// A number; `null` (the writer's encoding of NaN/±inf) maps back to
+    /// NaN.
+    fn f64(&self, key: &str) -> Parsed<f64> {
+        self.read(key, "a number or null", |v| match v {
+            Value::Null => Some(f64::NAN),
+            v => v.as_f64(),
+        })
+    }
+
+    fn secs(&self, key: &str) -> Parsed<Duration> {
+        self.read(key, "a non-negative duration", |v| {
+            let secs = v.as_f64().filter(|s| s.is_finite() && *s >= 0.0)?;
+            Some(Duration::from_secs_f64(secs))
+        })
+    }
+
+    fn pair(&self, key: &str) -> Parsed<(usize, usize)> {
+        self.read(
+            key,
+            "a two-element array of non-negative integers",
+            |v| match v.as_array()? {
+                [a, b] => Some((a.as_usize()?, b.as_usize()?)),
+                _ => None,
+            },
+        )
+    }
+
+    /// A 64-bit hash written as an `0x`-prefixed hex string.
+    fn hex(&self, key: &str) -> Parsed<u64> {
+        let hash = self.str(key)?;
+        let digits = hash.strip_prefix("0x").unwrap_or(hash);
+        u64::from_str_radix(digits, 16).or_else(|_| {
+            err(format!(
+                "field `{}` is not a hex hash: `{hash}`",
+                self.name(key)
+            ))
+        })
+    }
+
+    fn obj(&self, key: &str) -> Parsed<Fields<'a>> {
+        Ok(Fields {
+            value: self.get(key)?,
+            path: self.name(key),
+        })
+    }
+
+    fn array(&self, key: &str) -> Parsed<Vec<Fields<'a>>> {
+        let path = format!("{}[]", self.name(key));
+        let items = self.read(key, "an array", Value::as_array)?;
+        Ok(items
+            .iter()
+            .map(|value| Fields {
+                value,
+                path: path.clone(),
+            })
+            .collect())
+    }
 }
 
 /// Parses an `rlplanner.outcome/v1` document against the system it was
@@ -79,14 +212,8 @@ fn err<T>(message: impl Into<String>) -> Result<T, OutcomeParseError> {
 ///
 /// Returns an [`OutcomeParseError`] naming the first malformed, missing or
 /// inconsistent field (including JSON syntax errors).
-pub fn outcome_from_json(
-    text: &str,
-    system: &ChipletSystem,
-) -> Result<FloorplanOutcome, OutcomeParseError> {
-    let doc = Value::parse(text).map_err(|e| OutcomeParseError {
-        message: e.to_string(),
-    })?;
-    outcome_from_value(&doc, system)
+pub fn outcome_from_json(text: &str, system: &ChipletSystem) -> Parsed<FloorplanOutcome> {
+    outcome_from_value(&parse_text(text)?, system)
 }
 
 /// Parses an already-decoded outcome document; see [`outcome_from_json`].
@@ -95,26 +222,23 @@ pub fn outcome_from_json(
 ///
 /// Returns an [`OutcomeParseError`] naming the first malformed, missing or
 /// inconsistent field.
-pub fn outcome_from_value(
-    doc: &Value,
-    system: &ChipletSystem,
-) -> Result<FloorplanOutcome, OutcomeParseError> {
-    let schema = str_field(doc, "schema")?;
+pub fn outcome_from_value(doc: &Value, system: &ChipletSystem) -> Parsed<FloorplanOutcome> {
+    let doc = Fields::root(doc);
+    let schema = doc.str("schema")?;
     if schema != OUTCOME_SCHEMA {
         return err(format!(
             "unsupported schema `{schema}` (expected `{OUTCOME_SCHEMA}`)"
         ));
     }
-
-    let header = field(doc, "system")?;
-    let name = str_field(header, "system.name")?;
+    let header = doc.obj("system")?;
+    let name = header.str("name")?;
     if name != system.name() {
         return err(format!(
             "document is for system `{name}`, not `{}`",
             system.name()
         ));
     }
-    let chiplets = usize_field(header, "system.chiplets")?;
+    let chiplets = header.usize("chiplets")?;
     if chiplets != system.chiplet_count() {
         return err(format!(
             "document records {chiplets} chiplets but `{}` has {}",
@@ -122,30 +246,52 @@ pub fn outcome_from_value(
             system.chiplet_count()
         ));
     }
-
-    let breakdown = breakdown_from(field(doc, "breakdown")?)?;
-    let evaluations = usize_field(doc, "evaluations")?;
-    let evaluation = evaluation_from(field(doc, "evaluation")?)?;
-    let training = match field(doc, "training")? {
-        Value::Null => None,
-        value => Some(training_from(value)?),
-    };
-    let runtime = duration_field(doc, "runtime_s")?;
-    let thermal_prep = thermal_prep_from(field(doc, "thermal_prep")?)?;
-    let placement = placement_from(field(doc, "placement")?, system)?;
-    let telemetry = telemetry_from(field(doc, "telemetry")?)?;
-    let manifest = manifest_from(field(doc, "manifest")?, system)?;
-
+    let breakdown = doc.obj("breakdown")?;
+    let evaluation = doc.obj("evaluation")?;
+    let prep = doc.obj("thermal_prep")?;
     Ok(FloorplanOutcome {
-        placement,
-        breakdown,
-        telemetry,
-        evaluations,
-        evaluation,
-        training,
-        runtime,
-        thermal_prep,
-        manifest,
+        breakdown: RewardBreakdown {
+            reward: breakdown.f64("reward")?,
+            wirelength_mm: breakdown.f64("wirelength_mm")?,
+            max_temperature_c: breakdown.f64("max_temperature_c")?,
+            eval_mode: eval_mode(&breakdown, "eval_mode")?,
+        },
+        evaluations: doc.usize("evaluations")?,
+        evaluation: EvalTelemetry {
+            mode: eval_mode(&evaluation, "mode")?,
+            counts: EvalCounts {
+                full: evaluation.usize("full_evals")?,
+                incremental: evaluation.usize("incremental_evals")?,
+            },
+        },
+        training: doc.opt("training", |doc, key| {
+            let training = doc.obj(key)?;
+            Ok(TrainingTelemetry {
+                episodes: training.usize("episodes")?,
+                parallel_envs: training.usize("parallel_envs")?,
+                episodes_per_s: training.f64("episodes_per_s")?,
+                merge_order_hash: training.hex("merge_order_hash")?,
+            })
+        })?,
+        runtime: doc.secs("runtime_s")?,
+        thermal_prep: ThermalPrep {
+            cache_hits: prep.usize("cache_hits")?,
+            cache_misses: prep.usize("cache_misses")?,
+            characterization: prep.secs("characterization_s")?,
+        },
+        placement: placement_from(&doc.obj("placement")?, system)?,
+        telemetry: doc
+            .array("telemetry")?
+            .iter()
+            .map(|sample| {
+                Ok(TelemetrySample {
+                    index: sample.usize("index")?,
+                    reward: sample.f64("reward")?,
+                    best_reward: sample.f64("best_reward")?,
+                })
+            })
+            .collect::<Parsed<_>>()?,
+        manifest: manifest_from(&doc.obj("manifest")?, system)?,
     })
 }
 
@@ -163,11 +309,8 @@ pub fn outcome_from_value(
 /// Returns an [`OutcomeParseError`] naming the first malformed, missing or
 /// invalid field (including JSON syntax errors and configuration errors the
 /// builder rejects).
-pub fn request_from_json(text: &str) -> Result<FloorplanRequest, OutcomeParseError> {
-    let doc = Value::parse(text).map_err(|e| OutcomeParseError {
-        message: e.to_string(),
-    })?;
-    request_from_value(&doc)
+pub fn request_from_json(text: &str) -> Parsed<FloorplanRequest> {
+    request_from_value(&parse_text(text)?)
 }
 
 /// Parses an already-decoded request document; see [`request_from_json`].
@@ -176,60 +319,56 @@ pub fn request_from_json(text: &str) -> Result<FloorplanRequest, OutcomeParseErr
 ///
 /// Returns an [`OutcomeParseError`] naming the first malformed, missing or
 /// invalid field.
-pub fn request_from_value(doc: &Value) -> Result<FloorplanRequest, OutcomeParseError> {
-    let schema = str_field(doc, "schema")?;
+pub fn request_from_value(doc: &Value) -> Parsed<FloorplanRequest> {
+    let doc = Fields::root(doc);
+    let schema = doc.str("schema")?;
     if schema != REQUEST_SCHEMA {
         return err(format!(
             "unsupported schema `{schema}` (expected `{REQUEST_SCHEMA}`)"
         ));
     }
-    let system = system_from(field(doc, "system")?)?;
     let mut builder = FloorplanRequest::builder()
-        .system(system)
-        .method(method_from(field(doc, "method")?)?)
-        .thermal(thermal_from(field(doc, "thermal")?)?)
-        .reward(reward_from(field(doc, "reward")?)?);
-    match field(doc, "budget")? {
-        Value::Null => {}
-        value => builder = builder.budget(budget_from(value)?),
+        .system(system_from(&doc.obj("system")?)?)
+        .method(method_from(&doc.obj("method")?)?)
+        .thermal(thermal_from(&doc.obj("thermal")?)?)
+        .reward(reward_from(&doc.obj("reward")?)?);
+    if let Some(budget) = doc.opt("budget", |doc, key| budget_from(&doc.obj(key)?))? {
+        builder = builder.budget(budget);
     }
-    if !matches!(field(doc, "seed")?, Value::Null) {
-        builder = builder.seed(u64_field(doc, "seed")?);
+    if let Some(seed) = doc.opt("seed", Fields::u64)? {
+        builder = builder.seed(seed);
     }
-    if !matches!(field(doc, "parallel_envs")?, Value::Null) {
-        builder = builder.parallel_envs(usize_field(doc, "parallel_envs")?);
+    if let Some(parallel_envs) = doc.opt("parallel_envs", Fields::usize)? {
+        builder = builder.parallel_envs(parallel_envs);
     }
-    builder = builder.warm_start(bool_field(doc, "warm_start")?);
-    builder.build().map_err(|e| OutcomeParseError {
-        message: format!("invalid request configuration: {e}"),
-    })
+    builder = builder.warm_start(doc.bool("warm_start")?);
+    builder
+        .build()
+        .or_else(|e| err(format!("invalid request configuration: {e}")))
 }
 
-fn system_from(obj: &Value) -> Result<ChipletSystem, OutcomeParseError> {
-    let name = str_field(obj, "system.name")?;
-    let Some(outline) = field(obj, "system.interposer_mm")?.as_array() else {
-        return err("field `system.interposer_mm` must be a two-element array");
-    };
-    if outline.len() != 2 {
-        return err("field `system.interposer_mm` must be a two-element array");
-    }
-    let (Some(width), Some(height)) = (outline[0].as_f64(), outline[1].as_f64()) else {
-        return err("field `system.interposer_mm` must hold numbers");
-    };
+fn system_from(obj: &Fields<'_>) -> Parsed<ChipletSystem> {
+    let (width, height) = obj.read(
+        "interposer_mm",
+        "a two-element array of numbers",
+        |v| match v.as_array()? {
+            [w, h] => Some((w.as_f64()?, h.as_f64()?)),
+            _ => None,
+        },
+    )?;
     // `ChipletSystem::new` panics on a non-positive outline; reject first.
     if !(width > 0.0 && height > 0.0 && width.is_finite() && height.is_finite()) {
-        return err("field `system.interposer_mm` must hold positive finite dimensions");
+        return err(format!(
+            "field `{}` must hold positive finite dimensions",
+            obj.name("interposer_mm")
+        ));
     }
-    let mut system = ChipletSystem::new(name, width, height);
-
-    let Some(records) = field(obj, "system.chiplets")?.as_array() else {
-        return err("field `system.chiplets` must be an array");
-    };
-    for record in records {
-        let name = str_field(record, "system.chiplets[].name")?;
-        let width_mm = f64_field(record, "system.chiplets[].width_mm")?;
-        let height_mm = f64_field(record, "system.chiplets[].height_mm")?;
-        let power_w = f64_field(record, "system.chiplets[].power_w")?;
+    let mut system = ChipletSystem::new(obj.str("name")?, width, height);
+    for record in obj.array("chiplets")? {
+        let name = record.str("name")?;
+        let width_mm = record.f64("width_mm")?;
+        let height_mm = record.f64("height_mm")?;
+        let power_w = record.f64("power_w")?;
         // `Chiplet::new` panics on these contracts; turn them into errors.
         if !(width_mm > 0.0 && height_mm > 0.0 && width_mm.is_finite() && height_mm.is_finite()) {
             return err(format!(
@@ -243,14 +382,9 @@ fn system_from(obj: &Value) -> Result<ChipletSystem, OutcomeParseError> {
         }
         system.add_chiplet(Chiplet::new(name, width_mm, height_mm, power_w));
     }
-
-    let Some(records) = field(obj, "system.nets")?.as_array() else {
-        return err("field `system.nets` must be an array");
-    };
-    for record in records {
-        let from = usize_field(record, "system.nets[].from")?;
-        let to = usize_field(record, "system.nets[].to")?;
-        let wires = usize_field(record, "system.nets[].wires")?;
+    for record in obj.array("nets")? {
+        let (from, to) = (record.usize("from")?, record.usize("to")?);
+        let wires = record.usize("wires")?;
         // `Net::new`/`add_net` panic on these contracts; reject first.
         if from >= system.chiplet_count() || to >= system.chiplet_count() {
             return err(format!(
@@ -261,184 +395,55 @@ fn system_from(obj: &Value) -> Result<ChipletSystem, OutcomeParseError> {
         if from == to {
             return err(format!("net ({from}, {to}) must connect distinct chiplets"));
         }
-        if wires == 0 || wires > u32::MAX as usize {
+        let Some(wires) = u32::try_from(wires).ok().filter(|&w| w > 0) else {
             return err(format!(
                 "net ({from}, {to}) must carry between 1 and {} wires",
                 u32::MAX
             ));
-        }
-        system.add_net(Net::new(
-            ChipletId::from_index(from),
-            ChipletId::from_index(to),
-            wires as u32,
-        ));
+        };
+        let (from, to) = (ChipletId::from_index(from), ChipletId::from_index(to));
+        system.add_net(Net::new(from, to, wires));
     }
     Ok(system)
 }
 
-fn budget_from(obj: &Value) -> Result<Budget, OutcomeParseError> {
-    if obj.get("evaluations").is_some() {
-        Ok(Budget::Evaluations(usize_field(obj, "budget.evaluations")?))
-    } else if obj.get("time_limit_s").is_some() {
-        Ok(Budget::TimeLimit(duration_field(
-            obj,
-            "budget.time_limit_s",
-        )?))
+fn budget_from(obj: &Fields<'_>) -> Parsed<Budget> {
+    if obj.value.get("evaluations").is_some() {
+        Ok(Budget::Evaluations(obj.usize("evaluations")?))
+    } else if obj.value.get("time_limit_s").is_some() {
+        Ok(Budget::TimeLimit(obj.secs("time_limit_s")?))
     } else {
         err("field `budget` must be null or hold `evaluations` or `time_limit_s`")
     }
 }
 
-fn field<'a>(obj: &'a Value, key: &str) -> Result<&'a Value, OutcomeParseError> {
-    // Nested callers name fields by path ("system.name"); look up the last
-    // segment so error messages can stay fully qualified.
-    let leaf = key.rsplit('.').next().expect("split is non-empty");
-    match obj.get(leaf) {
-        Some(value) => Ok(value),
-        None => err(format!("missing field `{key}`")),
-    }
-}
-
-fn str_field<'a>(obj: &'a Value, key: &str) -> Result<&'a str, OutcomeParseError> {
-    match field(obj, key)?.as_str() {
-        Some(s) => Ok(s),
-        None => err(format!("field `{key}` must be a string")),
-    }
-}
-
-/// A required number; `null` (the writer's encoding of NaN/±inf) maps back
-/// to NaN.
-fn f64_field(obj: &Value, key: &str) -> Result<f64, OutcomeParseError> {
-    match field(obj, key)? {
-        Value::Num(n) => Ok(*n),
-        Value::Null => Ok(f64::NAN),
-        _ => err(format!("field `{key}` must be a number or null")),
-    }
-}
-
-fn usize_field(obj: &Value, key: &str) -> Result<usize, OutcomeParseError> {
-    let v = f64_field(obj, key)?;
-    if v.fract() != 0.0 || !(0.0..=9_007_199_254_740_992.0).contains(&v) {
-        return err(format!("field `{key}` must be a non-negative integer"));
-    }
-    Ok(v as usize)
-}
-
-fn u64_field(obj: &Value, key: &str) -> Result<u64, OutcomeParseError> {
-    usize_field(obj, key).map(|v| v as u64)
-}
-
-fn bool_field(obj: &Value, key: &str) -> Result<bool, OutcomeParseError> {
-    match field(obj, key)? {
-        Value::Bool(b) => Ok(*b),
-        _ => err(format!("field `{key}` must be a boolean")),
-    }
-}
-
-fn duration_field(obj: &Value, key: &str) -> Result<Duration, OutcomeParseError> {
-    let v = f64_field(obj, key)?;
-    if !v.is_finite() || v < 0.0 {
-        return err(format!("field `{key}` must be a non-negative duration"));
-    }
-    Ok(Duration::from_secs_f64(v))
-}
-
-fn opt_duration_field(obj: &Value, key: &str) -> Result<Option<Duration>, OutcomeParseError> {
-    match field(obj, key)? {
-        Value::Null => Ok(None),
-        _ => duration_field(obj, key).map(Some),
-    }
-}
-
-fn usize_pair_field(obj: &Value, key: &str) -> Result<(usize, usize), OutcomeParseError> {
-    let items = match field(obj, key)?.as_array() {
-        Some(items) if items.len() == 2 => items,
-        _ => return err(format!("field `{key}` must be a two-element array")),
-    };
-    let mut pair = [0usize; 2];
-    for (slot, item) in pair.iter_mut().zip(items) {
-        match item.as_f64() {
-            Some(v) if v.fract() == 0.0 && v >= 0.0 => *slot = v as usize,
-            _ => return err(format!("field `{key}` must hold non-negative integers")),
-        }
-    }
-    Ok((pair[0], pair[1]))
-}
-
-fn eval_mode_from(label: &str, key: &str) -> Result<EvalMode, OutcomeParseError> {
-    match label {
+fn eval_mode(obj: &Fields<'_>, key: &str) -> Parsed<EvalMode> {
+    match obj.str(key)? {
         "full" => Ok(EvalMode::Full),
         "incremental" => Ok(EvalMode::Incremental),
-        other => err(format!("field `{key}` has unknown eval mode `{other}`")),
+        other => err(format!(
+            "field `{}` has unknown eval mode `{other}`",
+            obj.name(key)
+        )),
     }
 }
 
-fn breakdown_from(obj: &Value) -> Result<RewardBreakdown, OutcomeParseError> {
-    Ok(RewardBreakdown {
-        reward: f64_field(obj, "breakdown.reward")?,
-        wirelength_mm: f64_field(obj, "breakdown.wirelength_mm")?,
-        max_temperature_c: f64_field(obj, "breakdown.max_temperature_c")?,
-        eval_mode: eval_mode_from(
-            str_field(obj, "breakdown.eval_mode")?,
-            "breakdown.eval_mode",
-        )?,
-    })
-}
-
-fn evaluation_from(obj: &Value) -> Result<EvalTelemetry, OutcomeParseError> {
-    Ok(EvalTelemetry {
-        mode: eval_mode_from(str_field(obj, "evaluation.mode")?, "evaluation.mode")?,
-        counts: EvalCounts {
-            full: usize_field(obj, "evaluation.full_evals")?,
-            incremental: usize_field(obj, "evaluation.incremental_evals")?,
-        },
-    })
-}
-
-fn training_from(obj: &Value) -> Result<TrainingTelemetry, OutcomeParseError> {
-    let hash = str_field(obj, "training.merge_order_hash")?;
-    let digits = hash.strip_prefix("0x").unwrap_or(hash);
-    let merge_order_hash = u64::from_str_radix(digits, 16).map_err(|_| OutcomeParseError {
-        message: format!("field `training.merge_order_hash` is not a hex hash: `{hash}`"),
-    })?;
-    Ok(TrainingTelemetry {
-        episodes: usize_field(obj, "training.episodes")?,
-        parallel_envs: usize_field(obj, "training.parallel_envs")?,
-        episodes_per_s: f64_field(obj, "training.episodes_per_s")?,
-        merge_order_hash,
-    })
-}
-
-fn thermal_prep_from(obj: &Value) -> Result<ThermalPrep, OutcomeParseError> {
-    Ok(ThermalPrep {
-        cache_hits: usize_field(obj, "thermal_prep.cache_hits")?,
-        cache_misses: usize_field(obj, "thermal_prep.cache_misses")?,
-        characterization: duration_field(obj, "thermal_prep.characterization_s")?,
-    })
-}
-
-fn placement_from(obj: &Value, system: &ChipletSystem) -> Result<Placement, OutcomeParseError> {
+fn placement_from(obj: &Fields<'_>, system: &ChipletSystem) -> Parsed<Placement> {
     let slots: HashMap<&str, _> = system
         .chiplet_ids()
         .map(|id| (system.chiplet(id).name(), id))
         .collect();
-    let Some(records) = field(obj, "placement.chiplets")?.as_array() else {
-        return err("field `placement.chiplets` must be an array");
-    };
     let mut placement = Placement::for_system(system);
-    for record in records {
-        let name = str_field(record, "placement.chiplets[].name")?;
+    for record in obj.array("chiplets")? {
+        let name = record.str("name")?;
         let Some(&id) = slots.get(name) else {
             return err(format!(
                 "placement names chiplet `{name}`, which `{}` does not contain",
                 system.name()
             ));
         };
-        let position = Position::new(
-            f64_field(record, "placement.chiplets[].x_mm")?,
-            f64_field(record, "placement.chiplets[].y_mm")?,
-        );
-        let rotation = match str_field(record, "placement.chiplets[].rotation")? {
+        let position = Position::new(record.f64("x_mm")?, record.f64("y_mm")?);
+        let rotation = match record.str("rotation")? {
             "None" => Rotation::None,
             "Quarter" => Rotation::Quarter,
             other => {
@@ -452,214 +457,127 @@ fn placement_from(obj: &Value, system: &ChipletSystem) -> Result<Placement, Outc
     Ok(placement)
 }
 
-fn telemetry_from(value: &Value) -> Result<Vec<TelemetrySample>, OutcomeParseError> {
-    let Some(records) = value.as_array() else {
-        return err("field `telemetry` must be an array");
-    };
-    records
-        .iter()
-        .map(|record| {
-            Ok(TelemetrySample {
-                index: usize_field(record, "telemetry[].index")?,
-                reward: f64_field(record, "telemetry[].reward")?,
-                best_reward: f64_field(record, "telemetry[].best_reward")?,
-            })
-        })
-        .collect()
-}
-
-fn manifest_from(obj: &Value, system: &ChipletSystem) -> Result<RunManifest, OutcomeParseError> {
+fn manifest_from(obj: &Fields<'_>, system: &ChipletSystem) -> Parsed<RunManifest> {
     Ok(RunManifest {
         // The document's `system` header was already checked against the
         // caller's system, so the manifest identity comes from there.
         system_name: system.name().to_string(),
         chiplet_count: system.chiplet_count(),
-        method: method_from(field(obj, "manifest.method")?)?,
-        thermal: thermal_from(field(obj, "manifest.thermal")?)?,
-        reward: reward_from(field(obj, "manifest.reward")?)?,
-        seed: u64_field(obj, "manifest.seed")?,
-        warm_start: bool_field(obj, "manifest.warm_start")?,
+        method: method_from(&obj.obj("method")?)?,
+        thermal: thermal_from(&obj.obj("thermal")?)?,
+        reward: reward_from(&obj.obj("reward")?)?,
+        seed: obj.u64("seed")?,
+        warm_start: obj.bool("warm_start")?,
     })
 }
 
-fn method_from(obj: &Value) -> Result<Method, OutcomeParseError> {
-    match str_field(obj, "method.kind")? {
-        "rl" => Ok(Method::Rl {
+fn method_from(obj: &Fields<'_>) -> Parsed<Method> {
+    Ok(match obj.str("kind")? {
+        "rl" => Method::Rl {
             config: rl_config_from(obj)?,
-        }),
-        "rl-rnd" => Ok(Method::RlRnd {
+        },
+        "rl-rnd" => Method::RlRnd {
             config: rl_config_from(obj)?,
-        }),
-        "sa" => Ok(Method::Sa {
+        },
+        "sa" => Method::Sa {
             config: sa_config_from(obj)?,
-        }),
-        "gradient" => Ok(Method::Gradient {
+        },
+        "gradient" => Method::Gradient {
             config: gradient_config_from(obj)?,
-        }),
-        "pretrained" => Ok(Method::Pretrained {
-            config: pretrained_config_from(obj)?,
-        }),
-        other => err(format!("field `method.kind` has unknown method `{other}`")),
-    }
+        },
+        "pretrained" => Method::Pretrained {
+            config: PretrainedConfig {
+                policy_path: obj.str("policy_path")?.to_string(),
+                // Null (unpinned) or an `0x...` hex string.
+                checksum: obj.opt("checksum", Fields::hex)?,
+                seed: obj.u64("seed")?,
+            },
+        },
+        other => {
+            return err(format!(
+                "field `{}` has unknown method `{other}`",
+                obj.name("kind")
+            ))
+        }
+    })
 }
 
-fn rl_config_from(obj: &Value) -> Result<RlPlannerConfig, OutcomeParseError> {
-    let ppo = field(obj, "method.ppo")?;
-    let agent = field(obj, "method.agent")?;
-    let env = field(obj, "method.env")?;
+fn rl_config_from(obj: &Fields<'_>) -> Parsed<RlPlannerConfig> {
+    let (ppo, agent, env) = (obj.obj("ppo")?, obj.obj("agent")?, obj.obj("env")?);
     Ok(RlPlannerConfig {
-        episodes: usize_field(obj, "method.episodes")?,
-        episodes_per_update: usize_field(obj, "method.episodes_per_update")?,
-        parallel_envs: usize_field(obj, "method.parallel_envs")?,
-        use_rnd: bool_field(obj, "method.use_rnd")?,
-        seed: u64_field(obj, "method.seed")?,
-        time_budget: opt_duration_field(obj, "method.time_budget_s")?,
+        episodes: obj.usize("episodes")?,
+        episodes_per_update: obj.usize("episodes_per_update")?,
+        parallel_envs: obj.usize("parallel_envs")?,
+        use_rnd: obj.bool("use_rnd")?,
+        seed: obj.u64("seed")?,
+        time_budget: obj.opt("time_budget_s", Fields::secs)?,
         ppo: PpoConfig {
-            gamma: f64_field(ppo, "method.ppo.gamma")?,
-            gae_lambda: f64_field(ppo, "method.ppo.gae_lambda")?,
-            clip_epsilon: f64_field(ppo, "method.ppo.clip_epsilon")? as f32,
-            entropy_coef: f64_field(ppo, "method.ppo.entropy_coef")? as f32,
-            value_coef: f64_field(ppo, "method.ppo.value_coef")? as f32,
-            learning_rate: f64_field(ppo, "method.ppo.learning_rate")? as f32,
-            epochs: usize_field(ppo, "method.ppo.epochs")?,
-            minibatch_size: usize_field(ppo, "method.ppo.minibatch_size")?,
-            max_grad_norm: f64_field(ppo, "method.ppo.max_grad_norm")? as f32,
+            gamma: ppo.f64("gamma")?,
+            gae_lambda: ppo.f64("gae_lambda")?,
+            clip_epsilon: ppo.f64("clip_epsilon")? as f32,
+            entropy_coef: ppo.f64("entropy_coef")? as f32,
+            value_coef: ppo.f64("value_coef")? as f32,
+            learning_rate: ppo.f64("learning_rate")? as f32,
+            epochs: ppo.usize("epochs")?,
+            minibatch_size: ppo.usize("minibatch_size")?,
+            max_grad_norm: ppo.f64("max_grad_norm")? as f32,
         },
         agent: AgentConfig {
-            conv_channels: usize_pair_field(agent, "method.agent.conv_channels")?,
-            feature_dim: usize_field(agent, "method.agent.feature_dim")?,
-            rnd_hidden_dim: usize_field(agent, "method.agent.rnd_hidden_dim")?,
-            rnd_embedding_dim: usize_field(agent, "method.agent.rnd_embedding_dim")?,
-            rnd_bonus_scale: f64_field(agent, "method.agent.rnd_bonus_scale")?,
-            seed: u64_field(agent, "method.agent.seed")?,
+            conv_channels: agent.pair("conv_channels")?,
+            feature_dim: agent.usize("feature_dim")?,
+            rnd_hidden_dim: agent.usize("rnd_hidden_dim")?,
+            rnd_embedding_dim: agent.usize("rnd_embedding_dim")?,
+            rnd_bonus_scale: agent.f64("rnd_bonus_scale")?,
+            seed: agent.u64("seed")?,
         },
         env: EnvConfig {
-            grid: usize_pair_field(env, "method.env.grid")?,
-            min_spacing_mm: f64_field(env, "method.env.min_spacing_mm")?,
+            grid: env.pair("grid")?,
+            min_spacing_mm: env.f64("min_spacing_mm")?,
         },
     })
 }
 
-fn sa_config_from(obj: &Value) -> Result<SaConfig, OutcomeParseError> {
+fn sa_config_from(obj: &Fields<'_>) -> Parsed<SaConfig> {
     Ok(SaConfig {
-        initial_temperature: f64_field(obj, "method.initial_temperature")?,
-        final_temperature: f64_field(obj, "method.final_temperature")?,
-        cooling_rate: f64_field(obj, "method.cooling_rate")?,
-        moves_per_temperature: usize_field(obj, "method.moves_per_temperature")?,
-        min_spacing_mm: f64_field(obj, "method.min_spacing_mm")?,
-        grid: usize_pair_field(obj, "method.grid")?,
-        seed: u64_field(obj, "method.seed")?,
-        time_budget: opt_duration_field(obj, "method.time_budget_s")?,
-        max_evaluations: match field(obj, "method.max_evaluations")? {
-            Value::Null => None,
-            _ => Some(usize_field(obj, "method.max_evaluations")?),
-        },
+        initial_temperature: obj.f64("initial_temperature")?,
+        final_temperature: obj.f64("final_temperature")?,
+        cooling_rate: obj.f64("cooling_rate")?,
+        moves_per_temperature: obj.usize("moves_per_temperature")?,
+        min_spacing_mm: obj.f64("min_spacing_mm")?,
+        grid: obj.pair("grid")?,
+        seed: obj.u64("seed")?,
+        time_budget: obj.opt("time_budget_s", Fields::secs)?,
+        max_evaluations: obj.opt("max_evaluations", Fields::usize)?,
     })
 }
 
-fn gradient_config_from(obj: &Value) -> Result<GradientConfig, OutcomeParseError> {
+fn gradient_config_from(obj: &Fields<'_>) -> Parsed<GradientConfig> {
     Ok(GradientConfig {
-        iterations: usize_field(obj, "method.iterations")?,
-        restarts: usize_field(obj, "method.restarts")?,
-        learning_rate: f64_field(obj, "method.learning_rate")?,
-        wirelength_sharpness: f64_field(obj, "method.wirelength_sharpness")?,
-        sharpness_growth: f64_field(obj, "method.sharpness_growth")?,
-        thermal_sharpness: f64_field(obj, "method.thermal_sharpness")?,
-        thermal_weight: f64_field(obj, "method.thermal_weight")?,
-        overlap_weight: f64_field(obj, "method.overlap_weight")?,
-        boundary_weight: f64_field(obj, "method.boundary_weight")?,
-        tolerance_mm: f64_field(obj, "method.tolerance_mm")?,
-        min_spacing_mm: f64_field(obj, "method.min_spacing_mm")?,
-        grid: usize_pair_field(obj, "method.grid")?,
-        seed: u64_field(obj, "method.seed")?,
-        time_budget: opt_duration_field(obj, "method.time_budget_s")?,
-        max_evaluations: match field(obj, "method.max_evaluations")? {
-            Value::Null => None,
-            _ => Some(usize_field(obj, "method.max_evaluations")?),
-        },
+        iterations: obj.usize("iterations")?,
+        restarts: obj.usize("restarts")?,
+        learning_rate: obj.f64("learning_rate")?,
+        wirelength_sharpness: obj.f64("wirelength_sharpness")?,
+        sharpness_growth: obj.f64("sharpness_growth")?,
+        thermal_sharpness: obj.f64("thermal_sharpness")?,
+        thermal_weight: obj.f64("thermal_weight")?,
+        overlap_weight: obj.f64("overlap_weight")?,
+        boundary_weight: obj.f64("boundary_weight")?,
+        tolerance_mm: obj.f64("tolerance_mm")?,
+        min_spacing_mm: obj.f64("min_spacing_mm")?,
+        grid: obj.pair("grid")?,
+        seed: obj.u64("seed")?,
+        time_budget: obj.opt("time_budget_s", Fields::secs)?,
+        max_evaluations: obj.opt("max_evaluations", Fields::usize)?,
     })
 }
 
-fn pretrained_config_from(obj: &Value) -> Result<PretrainedConfig, OutcomeParseError> {
-    // The checksum is written as null (unpinned) or an `0x...` hex string,
-    // like `training.merge_order_hash`.
-    let checksum = match field(obj, "method.checksum")? {
-        Value::Null => None,
-        value => {
-            let Some(hash) = value.as_str() else {
-                return err("field `method.checksum` must be null or a hex-string hash");
-            };
-            let digits = hash.strip_prefix("0x").unwrap_or(hash);
-            Some(
-                u64::from_str_radix(digits, 16).map_err(|_| OutcomeParseError {
-                    message: format!("field `method.checksum` is not a hex hash: `{hash}`"),
-                })?,
-            )
-        }
-    };
-    Ok(PretrainedConfig {
-        policy_path: str_field(obj, "method.policy_path")?.to_string(),
-        checksum,
-        seed: u64_field(obj, "method.seed")?,
-    })
-}
-
-fn thermal_from(obj: &Value) -> Result<ThermalBackend, OutcomeParseError> {
-    let config = thermal_config_from(obj)?;
-    match str_field(obj, "thermal.kind")? {
-        "grid" => Ok(ThermalBackend::Grid { config }),
-        "fast" => {
-            let sweep = field(obj, "thermal.characterization")?;
-            let Some(samples) =
-                field(sweep, "thermal.characterization.footprint_samples_mm")?.as_array()
-            else {
-                return err(
-                    "field `thermal.characterization.footprint_samples_mm` must be an array",
-                );
-            };
-            let footprint_samples_mm = samples
-                .iter()
-                .map(|v| {
-                    v.as_f64().ok_or_else(|| OutcomeParseError {
-                        message: "footprint samples must be numbers".to_string(),
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(ThermalBackend::Fast {
-                config,
-                characterization: CharacterizationOptions {
-                    footprint_samples_mm,
-                    reference_power_w: f64_field(
-                        sweep,
-                        "thermal.characterization.reference_power_w",
-                    )?,
-                    distance_bins: usize_field(sweep, "thermal.characterization.distance_bins")?,
-                    mutual_source_size_mm: f64_field(
-                        sweep,
-                        "thermal.characterization.mutual_source_size_mm",
-                    )?,
-                },
-            })
-        }
-        other => err(format!(
-            "field `thermal.kind` has unknown backend `{other}`"
-        )),
-    }
-}
-
-fn thermal_config_from(obj: &Value) -> Result<ThermalConfig, OutcomeParseError> {
-    let (grid_nx, grid_ny) = usize_pair_field(obj, "thermal.grid")?;
-    let Some(records) = field(obj, "thermal.layers")?.as_array() else {
-        return err("field `thermal.layers` must be an array");
-    };
-    if records.is_empty() {
-        return err("field `thermal.layers` must hold at least one layer");
-    }
-    let mut layers = Vec::with_capacity(records.len());
-    for record in records {
-        let name = str_field(record, "thermal.layers[].name")?;
-        let thickness_mm = f64_field(record, "thermal.layers[].thickness_mm")?;
-        let conductivity_w_mk = f64_field(record, "thermal.layers[].conductivity_w_mk")?;
+fn thermal_from(obj: &Fields<'_>) -> Parsed<ThermalBackend> {
+    let (grid_nx, grid_ny) = obj.pair("grid")?;
+    let mut layers = Vec::new();
+    for record in obj.array("layers")? {
+        let name = record.str("name")?;
+        let thickness_mm = record.f64("thickness_mm")?;
+        let conductivity_w_mk = record.f64("conductivity_w_mk")?;
         // `Layer::new` panics on non-positive values; turn that contract
         // into a parse error instead.
         if !(thickness_mm > 0.0 && conductivity_w_mk > 0.0) {
@@ -669,33 +587,62 @@ fn thermal_config_from(obj: &Value) -> Result<ThermalConfig, OutcomeParseError> 
         }
         layers.push(Layer::new(name, thickness_mm, conductivity_w_mk));
     }
-    let power_layer = usize_field(obj, "thermal.power_layer")?;
+    if layers.is_empty() {
+        return err(format!(
+            "field `{}` must hold at least one layer",
+            obj.name("layers")
+        ));
+    }
+    let power_layer = obj.usize("power_layer")?;
     if power_layer >= layers.len() {
         return err(format!(
-            "field `thermal.power_layer` ({power_layer}) is out of range for {} layers",
+            "field `{}` ({power_layer}) is out of range for {} layers",
+            obj.name("power_layer"),
             layers.len()
         ));
     }
-    Ok(ThermalConfig {
+    let config = ThermalConfig {
         grid_nx,
         grid_ny,
         stack: LayerStack::new(layers, power_layer),
-        ambient_c: f64_field(obj, "thermal.ambient_c")?,
-        convection_resistance_k_per_w: f64_field(obj, "thermal.convection_resistance_k_per_w")?,
-    })
+        ambient_c: obj.f64("ambient_c")?,
+        convection_resistance_k_per_w: obj.f64("convection_resistance_k_per_w")?,
+    };
+    match obj.str("kind")? {
+        "grid" => Ok(ThermalBackend::Grid { config }),
+        "fast" => {
+            let sweep = obj.obj("characterization")?;
+            let samples = sweep.read("footprint_samples_mm", "an array of numbers", |v| {
+                v.as_array()?.iter().map(Value::as_f64).collect()
+            })?;
+            Ok(ThermalBackend::Fast {
+                config,
+                characterization: CharacterizationOptions {
+                    footprint_samples_mm: samples,
+                    reference_power_w: sweep.f64("reference_power_w")?,
+                    distance_bins: sweep.usize("distance_bins")?,
+                    mutual_source_size_mm: sweep.f64("mutual_source_size_mm")?,
+                },
+            })
+        }
+        other => err(format!(
+            "field `{}` has unknown backend `{other}`",
+            obj.name("kind")
+        )),
+    }
 }
 
-fn reward_from(obj: &Value) -> Result<RewardConfig, OutcomeParseError> {
+fn reward_from(obj: &Fields<'_>) -> Parsed<RewardConfig> {
     Ok(RewardConfig {
-        lambda: f64_field(obj, "reward.lambda")?,
-        mu: f64_field(obj, "reward.mu")?,
-        temperature_limit_c: f64_field(obj, "reward.temperature_limit_c")?,
-        alpha: f64_field(obj, "reward.alpha")?,
+        lambda: obj.f64("lambda")?,
+        mu: obj.f64("mu")?,
+        temperature_limit_c: obj.f64("temperature_limit_c")?,
+        alpha: obj.f64("alpha")?,
         bump_config: BumpConfig {
-            pitch_mm: f64_field(obj, "reward.bump_pitch_mm")?,
-            edge_margin_mm: f64_field(obj, "reward.bump_edge_margin_mm")?,
+            pitch_mm: obj.f64("bump_pitch_mm")?,
+            edge_margin_mm: obj.f64("bump_edge_margin_mm")?,
         },
-        infeasible_penalty: f64_field(obj, "reward.infeasible_penalty")?,
+        infeasible_penalty: obj.f64("infeasible_penalty")?,
     })
 }
 

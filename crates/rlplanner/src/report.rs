@@ -1,25 +1,26 @@
 //! JSON reports for placements and run outcomes.
 //!
-//! The workspace builds offline against a no-op vendored `serde`, so the
-//! documents here are rendered by hand. In exchange the schema is explicit,
-//! the field order is stable (fields always appear exactly in the order
-//! documented below), and strings are escaped per RFC 8259. Non-finite
-//! numbers (`NaN`, `±inf`) are emitted as `null`, since JSON has no
-//! representation for them.
+//! Each document is built once, as a [`Value`] (`*_value`), and rendered
+//! with [`Value::render_pretty`] (`*_json`); the rpc, stream and campaign
+//! documents embed the same values. The schema is explicit, the field
+//! order is stable (fields always appear exactly in the order documented
+//! below), strings are escaped per RFC 8259, integers are exact and
+//! non-finite numbers (`NaN`, `±inf`) are emitted as `null`, since JSON has
+//! no representation for them (see [`rlp_obs::json`]).
 //!
 //! # Placement document ([`placement_json`])
 //!
 //! ```json
 //! {
 //!   "chiplets": [
-//!     { "name": "cpu", "x_mm": 4.0000, "y_mm": 16.0000, "rotation": "None" }
+//!     { "name": "cpu", "x_mm": 4, "y_mm": 16.125, "rotation": "None" }
 //!   ]
 //! }
 //! ```
 //!
 //! One record per *placed* chiplet, in placement-slot order. `x_mm`/`y_mm`
-//! are the lower-left corner in millimetres with four decimals; `rotation`
-//! is `"None"` or `"Quarter"`.
+//! are the lower-left corner in millimetres, rounded to four decimals;
+//! `rotation` is `"None"` or `"Quarter"`.
 //!
 //! # Outcome document ([`outcome_json`])
 //!
@@ -116,8 +117,10 @@ use crate::planner::RlPlannerConfig;
 use crate::request::{Budget, FloorplanRequest, Method, PretrainedConfig};
 use crate::reward::RewardConfig;
 use rlp_chiplet::{ChipletSystem, Placement};
+use rlp_obs::json::Value;
+use rlp_obs::json_object;
 use rlp_sa::SaConfig;
-use rlp_thermal::{ThermalBackend, ThermalConfig};
+use rlp_thermal::ThermalBackend;
 use std::time::Duration;
 
 /// Identifier of the outcome-document layout produced by [`outcome_json`].
@@ -126,353 +129,214 @@ pub const OUTCOME_SCHEMA: &str = "rlplanner.outcome/v1";
 /// Identifier of the request-document layout produced by [`request_json`].
 pub const REQUEST_SCHEMA: &str = "rlplanner.request/v1";
 
-/// Escapes a string for embedding in a JSON string literal: quotes,
-/// backslashes and control characters (RFC 8259 §7).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if c.is_control() => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn secs(d: Duration) -> Value {
+    Value::from(d.as_secs_f64())
+}
+
+fn pair(a: impl Into<Value>, b: impl Into<Value>) -> Value {
+    Value::Arr(vec![a.into(), b.into()])
+}
+
+/// A 64-bit hash as an `0x`-prefixed, zero-padded hex string.
+fn hex_hash(hash: u64) -> String {
+    format!("{hash:#018x}")
+}
+
+/// A placement coordinate, rounded to four decimals (0.1 µm).
+fn coordinate(mm: f64) -> Value {
+    Value::from(format!("{mm:.4}").parse::<f64>().unwrap_or(f64::NAN))
+}
+
+/// The placement document (see the [module docs](self)).
+fn placement_value(system: &ChipletSystem, placement: &Placement) -> Value {
+    let chiplets = placement.iter_placed().map(|(id, position, rotation)| {
+        json_object! {
+            "name": system.chiplet(id).name(),
+            "x_mm": coordinate(position.x),
+            "y_mm": coordinate(position.y),
+            "rotation": format!("{rotation:?}"),
         }
-    }
-    out
-}
-
-/// Renders a finite number with full (shortest round-trip) precision, or
-/// `null` for NaN and infinities — the numeric encoding every document in
-/// this module uses. Public so sibling report modules (e.g. the campaign
-/// document in `rlp-engine`) emit numbers identically.
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Internal shorthand for [`json_num`].
-fn num(v: f64) -> String {
-    json_num(v)
-}
-
-fn opt_usize(v: Option<usize>) -> String {
-    v.map_or("null".to_string(), |n| n.to_string())
-}
-
-fn opt_duration_s(v: Option<Duration>) -> String {
-    v.map_or("null".to_string(), |d| num(d.as_secs_f64()))
+    });
+    json_object! { "chiplets": Value::array(chiplets) }
 }
 
 /// Renders a placement as the documented placement document.
 pub fn placement_json(system: &ChipletSystem, placement: &Placement) -> String {
-    let mut out = String::from("{\n  \"chiplets\": [");
-    let mut first = true;
-    for (id, position, rotation) in placement.iter_placed() {
-        out.push_str(if first { "\n" } else { ",\n" });
-        first = false;
-        let chiplet = system.chiplet(id);
-        out.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"x_mm\": {:.4}, \"y_mm\": {:.4}, \"rotation\": \"{:?}\" }}",
-            json_escape(chiplet.name()),
-            position.x,
-            position.y,
-            rotation
-        ));
-    }
-    if first {
-        out.push_str("]\n}");
-    } else {
-        out.push_str("\n  ]\n}");
-    }
-    out
+    placement_value(system, placement).render_pretty()
 }
 
-fn indent(block: &str, spaces: usize) -> String {
-    let pad = " ".repeat(spaces);
-    block
-        .lines()
-        .enumerate()
-        .map(|(i, line)| {
-            if i == 0 {
-                line.to_string()
-            } else {
-                format!("{pad}{line}")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-fn thermal_config_fields(config: &ThermalConfig) -> String {
-    let layers = config
-        .stack
-        .layers()
-        .iter()
-        .map(|layer| {
-            format!(
-                "{{ \"name\": \"{}\", \"thickness_mm\": {}, \"conductivity_w_mk\": {} }}",
-                json_escape(&layer.name),
-                num(layer.thickness_mm),
-                num(layer.conductivity_w_mk)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "\"grid\": [{}, {}],\n\"ambient_c\": {},\n\"convection_resistance_k_per_w\": {},\n\"power_layer\": {},\n\"layers\": [{}]",
-        config.grid_nx,
-        config.grid_ny,
-        num(config.ambient_c),
-        num(config.convection_resistance_k_per_w),
-        config.stack.power_layer(),
-        layers
-    )
-}
-
-fn thermal_json(thermal: &ThermalBackend) -> String {
-    let mut fields = format!("\"kind\": \"{}\"", thermal.label());
-    fields.push_str(",\n");
-    fields.push_str(&thermal_config_fields(thermal.config()));
+fn thermal_value(thermal: &ThermalBackend) -> Value {
+    let config = thermal.config();
+    let layers = config.stack.layers().iter().map(|layer| {
+        json_object! {
+            "name": layer.name.as_str(),
+            "thickness_mm": layer.thickness_mm,
+            "conductivity_w_mk": layer.conductivity_w_mk,
+        }
+    });
+    let mut value = json_object! {
+        "kind": thermal.label(),
+        "grid": pair(config.grid_nx, config.grid_ny),
+        "ambient_c": config.ambient_c,
+        "convection_resistance_k_per_w": config.convection_resistance_k_per_w,
+        "power_layer": config.stack.power_layer(),
+        "layers": Value::array(layers),
+    };
     if let ThermalBackend::Fast {
-        characterization, ..
+        characterization: sweep,
+        ..
     } = thermal
     {
-        let footprints = characterization
-            .footprint_samples_mm
-            .iter()
-            .map(|&v| num(v))
-            .collect::<Vec<_>>()
-            .join(", ");
-        fields.push_str(&format!(
-            ",\n\"characterization\": {{ \"footprint_samples_mm\": [{}], \"reference_power_w\": {}, \"distance_bins\": {}, \"mutual_source_size_mm\": {} }}",
-            footprints,
-            num(characterization.reference_power_w),
-            characterization.distance_bins,
-            num(characterization.mutual_source_size_mm)
-        ));
+        let sweep = json_object! {
+            "footprint_samples_mm": Value::array(sweep.footprint_samples_mm.iter().copied()),
+            "reference_power_w": sweep.reference_power_w,
+            "distance_bins": sweep.distance_bins,
+            "mutual_source_size_mm": sweep.mutual_source_size_mm,
+        };
+        value.push("characterization", sweep);
     }
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+    value
 }
 
-fn rl_method_json(kind: &str, config: &RlPlannerConfig) -> String {
-    let ppo = &config.ppo;
-    let agent = &config.agent;
-    let fields = format!(
-        "\"kind\": \"{kind}\",\n\
-         \"episodes\": {},\n\
-         \"episodes_per_update\": {},\n\
-         \"parallel_envs\": {},\n\
-         \"use_rnd\": {},\n\
-         \"seed\": {},\n\
-         \"time_budget_s\": {},\n\
-         \"ppo\": {{ \"gamma\": {}, \"gae_lambda\": {}, \"clip_epsilon\": {}, \"entropy_coef\": {}, \"value_coef\": {}, \"learning_rate\": {}, \"epochs\": {}, \"minibatch_size\": {}, \"max_grad_norm\": {} }},\n\
-         \"agent\": {{ \"conv_channels\": [{}, {}], \"feature_dim\": {}, \"rnd_hidden_dim\": {}, \"rnd_embedding_dim\": {}, \"rnd_bonus_scale\": {}, \"seed\": {} }},\n\
-         \"env\": {{ \"grid\": [{}, {}], \"min_spacing_mm\": {} }}",
-        config.episodes,
-        config.episodes_per_update,
-        config.parallel_envs,
-        config.use_rnd,
-        config.seed,
-        opt_duration_s(config.time_budget),
-        num(ppo.gamma),
-        num(ppo.gae_lambda),
-        num(f64::from(ppo.clip_epsilon)),
-        num(f64::from(ppo.entropy_coef)),
-        num(f64::from(ppo.value_coef)),
-        num(f64::from(ppo.learning_rate)),
-        ppo.epochs,
-        ppo.minibatch_size,
-        num(f64::from(ppo.max_grad_norm)),
-        agent.conv_channels.0,
-        agent.conv_channels.1,
-        agent.feature_dim,
-        agent.rnd_hidden_dim,
-        agent.rnd_embedding_dim,
-        num(agent.rnd_bonus_scale),
-        agent.seed,
-        config.env.grid.0,
-        config.env.grid.1,
-        num(config.env.min_spacing_mm),
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+fn rl_method_value(kind: &str, config: &RlPlannerConfig) -> Value {
+    let (ppo, agent) = (&config.ppo, &config.agent);
+    json_object! {
+        "kind": kind,
+        "episodes": config.episodes,
+        "episodes_per_update": config.episodes_per_update,
+        "parallel_envs": config.parallel_envs,
+        "use_rnd": config.use_rnd,
+        "seed": config.seed,
+        "time_budget_s": config.time_budget.map(secs),
+        "ppo": json_object! {
+            "gamma": ppo.gamma,
+            "gae_lambda": ppo.gae_lambda,
+            "clip_epsilon": ppo.clip_epsilon,
+            "entropy_coef": ppo.entropy_coef,
+            "value_coef": ppo.value_coef,
+            "learning_rate": ppo.learning_rate,
+            "epochs": ppo.epochs,
+            "minibatch_size": ppo.minibatch_size,
+            "max_grad_norm": ppo.max_grad_norm,
+        },
+        "agent": json_object! {
+            "conv_channels": pair(agent.conv_channels.0, agent.conv_channels.1),
+            "feature_dim": agent.feature_dim,
+            "rnd_hidden_dim": agent.rnd_hidden_dim,
+            "rnd_embedding_dim": agent.rnd_embedding_dim,
+            "rnd_bonus_scale": agent.rnd_bonus_scale,
+            "seed": agent.seed,
+        },
+        "env": json_object! {
+            "grid": pair(config.env.grid.0, config.env.grid.1),
+            "min_spacing_mm": config.env.min_spacing_mm,
+        },
+    }
 }
 
-fn sa_method_json(config: &SaConfig) -> String {
-    let fields = format!(
-        "\"kind\": \"sa\",\n\
-         \"initial_temperature\": {},\n\
-         \"final_temperature\": {},\n\
-         \"cooling_rate\": {},\n\
-         \"moves_per_temperature\": {},\n\
-         \"min_spacing_mm\": {},\n\
-         \"grid\": [{}, {}],\n\
-         \"seed\": {},\n\
-         \"time_budget_s\": {},\n\
-         \"max_evaluations\": {}",
-        num(config.initial_temperature),
-        num(config.final_temperature),
-        num(config.cooling_rate),
-        config.moves_per_temperature,
-        num(config.min_spacing_mm),
-        config.grid.0,
-        config.grid.1,
-        config.seed,
-        opt_duration_s(config.time_budget),
-        opt_usize(config.max_evaluations),
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+fn sa_method_value(config: &SaConfig) -> Value {
+    json_object! {
+        "kind": "sa",
+        "initial_temperature": config.initial_temperature,
+        "final_temperature": config.final_temperature,
+        "cooling_rate": config.cooling_rate,
+        "moves_per_temperature": config.moves_per_temperature,
+        "min_spacing_mm": config.min_spacing_mm,
+        "grid": pair(config.grid.0, config.grid.1),
+        "seed": config.seed,
+        "time_budget_s": config.time_budget.map(secs),
+        "max_evaluations": config.max_evaluations,
+    }
 }
 
-fn gradient_method_json(config: &GradientConfig) -> String {
-    let fields = format!(
-        "\"kind\": \"gradient\",\n\
-         \"iterations\": {},\n\
-         \"restarts\": {},\n\
-         \"learning_rate\": {},\n\
-         \"wirelength_sharpness\": {},\n\
-         \"sharpness_growth\": {},\n\
-         \"thermal_sharpness\": {},\n\
-         \"thermal_weight\": {},\n\
-         \"overlap_weight\": {},\n\
-         \"boundary_weight\": {},\n\
-         \"tolerance_mm\": {},\n\
-         \"min_spacing_mm\": {},\n\
-         \"grid\": [{}, {}],\n\
-         \"seed\": {},\n\
-         \"time_budget_s\": {},\n\
-         \"max_evaluations\": {}",
-        config.iterations,
-        config.restarts,
-        num(config.learning_rate),
-        num(config.wirelength_sharpness),
-        num(config.sharpness_growth),
-        num(config.thermal_sharpness),
-        num(config.thermal_weight),
-        num(config.overlap_weight),
-        num(config.boundary_weight),
-        num(config.tolerance_mm),
-        num(config.min_spacing_mm),
-        config.grid.0,
-        config.grid.1,
-        config.seed,
-        opt_duration_s(config.time_budget),
-        opt_usize(config.max_evaluations),
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+fn gradient_method_value(config: &GradientConfig) -> Value {
+    json_object! {
+        "kind": "gradient",
+        "iterations": config.iterations,
+        "restarts": config.restarts,
+        "learning_rate": config.learning_rate,
+        "wirelength_sharpness": config.wirelength_sharpness,
+        "sharpness_growth": config.sharpness_growth,
+        "thermal_sharpness": config.thermal_sharpness,
+        "thermal_weight": config.thermal_weight,
+        "overlap_weight": config.overlap_weight,
+        "boundary_weight": config.boundary_weight,
+        "tolerance_mm": config.tolerance_mm,
+        "min_spacing_mm": config.min_spacing_mm,
+        "grid": pair(config.grid.0, config.grid.1),
+        "seed": config.seed,
+        "time_budget_s": config.time_budget.map(secs),
+        "max_evaluations": config.max_evaluations,
+    }
 }
 
-fn pretrained_method_json(config: &PretrainedConfig) -> String {
-    let checksum = config
-        .checksum
-        .map_or("null".to_string(), |c| format!("\"{c:#018x}\""));
-    let fields = format!(
-        "\"kind\": \"pretrained\",\n\
-         \"policy_path\": \"{}\",\n\
-         \"checksum\": {},\n\
-         \"seed\": {}",
-        json_escape(&config.policy_path),
-        checksum,
-        config.seed,
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+fn pretrained_method_value(config: &PretrainedConfig) -> Value {
+    json_object! {
+        "kind": "pretrained",
+        "policy_path": config.policy_path.as_str(),
+        "checksum": config.checksum.map(hex_hash),
+        "seed": config.seed,
+    }
 }
 
-fn method_json(method: &Method) -> String {
+fn method_value(method: &Method) -> Value {
     match method {
-        Method::Rl { config } => rl_method_json("rl", config),
-        Method::RlRnd { config } => rl_method_json("rl-rnd", config),
-        Method::Sa { config } => sa_method_json(config),
-        Method::Gradient { config } => gradient_method_json(config),
-        Method::Pretrained { config } => pretrained_method_json(config),
+        Method::Rl { config } => rl_method_value("rl", config),
+        Method::RlRnd { config } => rl_method_value("rl-rnd", config),
+        Method::Sa { config } => sa_method_value(config),
+        Method::Gradient { config } => gradient_method_value(config),
+        Method::Pretrained { config } => pretrained_method_value(config),
     }
 }
 
-fn reward_json(reward: &RewardConfig) -> String {
-    format!(
-        "{{ \"lambda\": {}, \"mu\": {}, \"temperature_limit_c\": {}, \"alpha\": {}, \"bump_pitch_mm\": {}, \"bump_edge_margin_mm\": {}, \"infeasible_penalty\": {} }}",
-        num(reward.lambda),
-        num(reward.mu),
-        num(reward.temperature_limit_c),
-        num(reward.alpha),
-        num(reward.bump_config.pitch_mm),
-        num(reward.bump_config.edge_margin_mm),
-        num(reward.infeasible_penalty),
-    )
+fn reward_value(reward: &RewardConfig) -> Value {
+    json_object! {
+        "lambda": reward.lambda,
+        "mu": reward.mu,
+        "temperature_limit_c": reward.temperature_limit_c,
+        "alpha": reward.alpha,
+        "bump_pitch_mm": reward.bump_config.pitch_mm,
+        "bump_edge_margin_mm": reward.bump_config.edge_margin_mm,
+        "infeasible_penalty": reward.infeasible_penalty,
+    }
 }
 
-fn manifest_json(manifest: &RunManifest) -> String {
-    let fields = format!(
-        "\"seed\": {},\n\"method\": {},\n\"thermal\": {},\n\"reward\": {},\n\"warm_start\": {}",
-        manifest.seed,
-        method_json(&manifest.method),
-        thermal_json(&manifest.thermal),
-        reward_json(&manifest.reward),
-        manifest.warm_start,
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+fn manifest_value(manifest: &RunManifest) -> Value {
+    json_object! {
+        "seed": manifest.seed,
+        "method": method_value(&manifest.method),
+        "thermal": thermal_value(&manifest.thermal),
+        "reward": reward_value(&manifest.reward),
+        "warm_start": manifest.warm_start,
+    }
 }
 
-fn system_json(system: &ChipletSystem) -> String {
-    let chiplets = system
-        .chiplet_ids()
-        .map(|id| {
-            let c = system.chiplet(id);
-            format!(
-                "{{ \"name\": \"{}\", \"width_mm\": {}, \"height_mm\": {}, \"power_w\": {} }}",
-                json_escape(c.name()),
-                num(c.width()),
-                num(c.height()),
-                num(c.power())
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let chiplets = if chiplets.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n  {}\n]", indent(&chiplets, 2))
-    };
-    let nets = system
-        .nets()
-        .map(|n| {
-            format!(
-                "{{ \"from\": {}, \"to\": {}, \"wires\": {} }}",
-                n.from.index(),
-                n.to.index(),
-                n.wires
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let nets = if nets.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n  {}\n]", indent(&nets, 2))
-    };
-    let fields = format!(
-        "\"name\": \"{}\",\n\"interposer_mm\": [{}, {}],\n\"chiplets\": {},\n\"nets\": {}",
-        json_escape(system.name()),
-        num(system.interposer_width()),
-        num(system.interposer_height()),
-        chiplets,
-        nets
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
-}
-
-fn budget_json(budget: Option<Budget>) -> String {
-    match budget {
-        None => "null".to_string(),
-        Some(Budget::Evaluations(n)) => format!("{{ \"evaluations\": {n} }}"),
-        Some(Budget::TimeLimit(limit)) => {
-            format!("{{ \"time_limit_s\": {} }}", num(limit.as_secs_f64()))
+fn system_value(system: &ChipletSystem) -> Value {
+    let chiplets = system.chiplet_ids().map(|id| {
+        let c = system.chiplet(id);
+        json_object! {
+            "name": c.name(),
+            "width_mm": c.width(),
+            "height_mm": c.height(),
+            "power_w": c.power(),
         }
+    });
+    let nets = system.nets().map(|n| {
+        json_object! { "from": n.from.index(), "to": n.to.index(), "wires": n.wires }
+    });
+    json_object! {
+        "name": system.name(),
+        "interposer_mm": pair(system.interposer_width(), system.interposer_height()),
+        "chiplets": Value::array(chiplets),
+        "nets": Value::array(nets),
+    }
+}
+
+fn budget_value(budget: Option<Budget>) -> Value {
+    match budget {
+        None => Value::Null,
+        Some(Budget::Evaluations(n)) => json_object! { "evaluations": n },
+        Some(Budget::TimeLimit(limit)) => json_object! { "time_limit_s": secs(limit) },
         // `Budget` is non-exhaustive for downstream code; this crate owns
         // the full variant list.
         #[allow(unreachable_patterns)]
@@ -480,96 +344,82 @@ fn budget_json(budget: Option<Budget>) -> String {
     }
 }
 
-/// Renders a request as the documented request document — the wire form an
-/// `rlp-serve` client sends. [`crate::request_from_json`] is the inverse.
+/// The request document (see the [module docs](self)) — the wire form an
+/// `rlp-serve` client sends. [`crate::request_from_value`] is the inverse.
+fn request_value(request: &FloorplanRequest) -> Value {
+    json_object! {
+        "schema": REQUEST_SCHEMA,
+        "system": system_value(request.system()),
+        "method": method_value(request.method()),
+        "thermal": thermal_value(request.thermal()),
+        "reward": reward_value(request.reward()),
+        "budget": budget_value(request.budget()),
+        "seed": request.seed(),
+        "parallel_envs": request.parallel_envs(),
+        "warm_start": request.warm_start(),
+    }
+}
+
+/// Renders a request as the documented request document.
+/// [`crate::request_from_json`] is the inverse.
 pub fn request_json(request: &FloorplanRequest) -> String {
-    let fields = format!(
-        "\"schema\": \"{}\",\n\
-         \"system\": {},\n\
-         \"method\": {},\n\
-         \"thermal\": {},\n\
-         \"reward\": {},\n\
-         \"budget\": {},\n\
-         \"seed\": {},\n\
-         \"parallel_envs\": {},\n\
-         \"warm_start\": {}",
-        REQUEST_SCHEMA,
-        system_json(request.system()),
-        method_json(request.method()),
-        thermal_json(request.thermal()),
-        reward_json(request.reward()),
-        budget_json(request.budget()),
-        request.seed().map_or("null".to_string(), |s| s.to_string()),
-        opt_usize(request.parallel_envs()),
-        request.warm_start(),
+    request_value(request).render_pretty()
+}
+
+/// The outcome document (see the [module docs](self)).
+/// [`crate::outcome_from_value`] is the inverse.
+pub fn outcome_value(system: &ChipletSystem, outcome: &FloorplanOutcome) -> Value {
+    let telemetry = outcome.telemetry.iter().map(|s| {
+        json_object! { "index": s.index, "reward": s.reward, "best_reward": s.best_reward }
+    });
+    let training = outcome.training.map(|t| {
+        json_object! {
+            "episodes": t.episodes,
+            "parallel_envs": t.parallel_envs,
+            "episodes_per_s": t.episodes_per_s,
+            "merge_order_hash": hex_hash(t.merge_order_hash),
+        }
+    });
+    let (breakdown, evaluation, prep) = (
+        &outcome.breakdown,
+        &outcome.evaluation,
+        &outcome.thermal_prep,
     );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+    json_object! {
+        "schema": OUTCOME_SCHEMA,
+        "system": json_object! {
+            "name": system.name(),
+            "chiplets": system.chiplet_count(),
+            "interposer_mm": pair(system.interposer_width(), system.interposer_height()),
+        },
+        "breakdown": json_object! {
+            "reward": breakdown.reward,
+            "wirelength_mm": breakdown.wirelength_mm,
+            "max_temperature_c": breakdown.max_temperature_c,
+            "eval_mode": breakdown.eval_mode.label(),
+        },
+        "evaluations": outcome.evaluations,
+        "evaluation": json_object! {
+            "mode": evaluation.mode.label(),
+            "full_evals": evaluation.counts.full,
+            "incremental_evals": evaluation.counts.incremental,
+        },
+        "training": training,
+        "runtime_s": secs(outcome.runtime),
+        "thermal_prep": json_object! {
+            "cache_hits": prep.cache_hits,
+            "cache_misses": prep.cache_misses,
+            "characterization_s": secs(prep.characterization),
+        },
+        "placement": placement_value(system, &outcome.placement),
+        "telemetry": Value::array(telemetry),
+        "manifest": manifest_value(&outcome.manifest),
+    }
 }
 
 /// Renders a full run outcome as the documented outcome document.
 pub fn outcome_json(system: &ChipletSystem, outcome: &FloorplanOutcome) -> String {
-    let telemetry = outcome
-        .telemetry
-        .iter()
-        .map(|s| {
-            format!(
-                "{{ \"index\": {}, \"reward\": {}, \"best_reward\": {} }}",
-                s.index,
-                num(s.reward),
-                num(s.best_reward)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let telemetry = if telemetry.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n  {}\n]", indent(&telemetry, 2))
-    };
-    let training = outcome.training.map_or("null".to_string(), |t| {
-        format!(
-            "{{ \"episodes\": {}, \"parallel_envs\": {}, \"episodes_per_s\": {}, \"merge_order_hash\": \"{:#018x}\" }}",
-            t.episodes,
-            t.parallel_envs,
-            num(t.episodes_per_s),
-            t.merge_order_hash,
-        )
-    });
-    let fields = format!(
-        "\"schema\": \"{}\",\n\
-         \"system\": {{ \"name\": \"{}\", \"chiplets\": {}, \"interposer_mm\": [{}, {}] }},\n\
-         \"breakdown\": {{ \"reward\": {}, \"wirelength_mm\": {}, \"max_temperature_c\": {}, \"eval_mode\": \"{}\" }},\n\
-         \"evaluations\": {},\n\
-         \"evaluation\": {{ \"mode\": \"{}\", \"full_evals\": {}, \"incremental_evals\": {} }},\n\
-         \"training\": {},\n\
-         \"runtime_s\": {},\n\
-         \"thermal_prep\": {{ \"cache_hits\": {}, \"cache_misses\": {}, \"characterization_s\": {} }},\n\
-         \"placement\": {},\n\
-         \"telemetry\": {},\n\
-         \"manifest\": {}",
-        OUTCOME_SCHEMA,
-        json_escape(system.name()),
-        system.chiplet_count(),
-        num(system.interposer_width()),
-        num(system.interposer_height()),
-        num(outcome.breakdown.reward),
-        num(outcome.breakdown.wirelength_mm),
-        num(outcome.breakdown.max_temperature_c),
-        outcome.breakdown.eval_mode.label(),
-        outcome.evaluations,
-        outcome.evaluation.mode.label(),
-        outcome.evaluation.counts.full,
-        outcome.evaluation.counts.incremental,
-        training,
-        num(outcome.runtime.as_secs_f64()),
-        outcome.thermal_prep.cache_hits,
-        outcome.thermal_prep.cache_misses,
-        num(outcome.thermal_prep.characterization.as_secs_f64()),
-        indent(&placement_json(system, &outcome.placement), 0),
-        telemetry,
-        manifest_json(&outcome.manifest),
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+    outcome_value(system, outcome).render_pretty()
 }
 
 #[cfg(test)]
@@ -664,11 +514,12 @@ mod tests {
 
     #[test]
     fn quotes_backslashes_and_control_characters_are_escaped() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b"), "a\\\"b");
-        assert_eq!(json_escape("a\\b"), "a\\\\b");
-        assert_eq!(json_escape("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(json_escape("\u{7}"), "\\u0007");
+        let escaped = |s: &str| Value::from(s).render();
+        assert_eq!(escaped("plain"), "\"plain\"");
+        assert_eq!(escaped("a\"b"), "\"a\\\"b\"");
+        assert_eq!(escaped("a\\b"), "\"a\\\\b\"");
+        assert_eq!(escaped("a\nb\tc"), "\"a\\nb\\tc\"");
+        assert_eq!(escaped("\u{7}"), "\"\\u0007\"");
         // A chiplet name full of hostile characters stays inside its string
         // literal.
         let (sys, placement) = system_with(&["die\"0\\\n"]);
@@ -678,9 +529,9 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_render_as_null() {
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
-        assert_eq!(num(-1.25), "-1.25");
+        assert_eq!(Value::from(f64::NAN).render(), "null");
+        assert_eq!(Value::from(f64::INFINITY).render(), "null");
+        assert_eq!(Value::from(-1.25).render(), "-1.25");
         let (sys, placement) = system_with(&["cpu"]);
         let mut outcome = outcome_for(&sys, placement);
         outcome.breakdown.wirelength_mm = f64::NAN;

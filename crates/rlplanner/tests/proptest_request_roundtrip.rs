@@ -101,7 +101,7 @@ proptest! {
         wires in 1u32..200,
         method_selector in any::<u8>(),
         count in 1usize..500,
-        method_seed in any::<u32>(),
+        method_seed in any::<u64>(),
         knob in 0.0f64..1.0,
         thermal_selector in any::<u8>(),
         grid in 2usize..24,
@@ -109,7 +109,7 @@ proptest! {
         reference_power_w in 0.5f64..5.0,
         budget_selector in any::<u8>(),
         budget_amount in 1usize..10_000,
-        seed_override in any::<u32>(),
+        seed_override in any::<u64>(),
         use_seed in any::<bool>(),
         parallel_envs in 1usize..8,
         use_parallel_envs in any::<bool>(),
@@ -117,7 +117,7 @@ proptest! {
     ) {
         let mut builder = FloorplanRequest::builder()
             .system(system_for(name_bits, n, &dims, wires))
-            .method(method_for(method_selector, count, u64::from(method_seed), knob))
+            .method(method_for(method_selector, count, method_seed, knob))
             .thermal(thermal_for(thermal_selector, grid, bins, reference_power_w));
         match budget_selector % 3 {
             0 => {}
@@ -127,7 +127,7 @@ proptest! {
             ))),
         }
         if use_seed {
-            builder = builder.seed(u64::from(seed_override));
+            builder = builder.seed(seed_override);
         }
         if use_parallel_envs {
             builder = builder.parallel_envs(parallel_envs);

@@ -40,6 +40,7 @@
 
 use rlp_benchmarks::{ascend910_system, cpu_dram_system, multi_gpu_system, synthetic_case};
 use rlp_chiplet::ChipletSystem;
+use rlp_obs::json_object;
 use rlp_sa::SaConfig;
 use rlp_serve::{ClientError, ServeClient, Submit};
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
@@ -274,10 +275,15 @@ fn percentile(sorted: &[Duration], q: f64) -> Duration {
 /// did — made the two rows describe overlapping, inconsistent
 /// distributions.)
 fn shard_line(id: &str, value_ns: f64, samples: usize) -> String {
-    format!(
-        "{{ \"id\": \"{id}\", \"median_ns\": {value_ns}, \"mean_ns\": {value_ns}, \
-         \"min_ns\": {value_ns}, \"max_ns\": {value_ns}, \"samples\": {samples} }}"
-    )
+    json_object! {
+        "id": id,
+        "median_ns": value_ns,
+        "mean_ns": value_ns,
+        "min_ns": value_ns,
+        "max_ns": value_ns,
+        "samples": samples,
+    }
+    .render()
 }
 
 fn run_load(args: &LoadArgs) -> ExitCode {

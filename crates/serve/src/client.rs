@@ -8,7 +8,7 @@
 //! and replayed by [`ServeClient::wait_outcome`].
 
 use crate::protocol::{self, ClientMessage, SchedulerStats, RPC_SCHEMA};
-use rlplanner::minijson::Value;
+use rlp_obs::json::Value;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io;
@@ -116,18 +116,21 @@ impl ServeClient {
     /// # Errors
     ///
     /// [`ClientError::Remote`] if the daemon rejected the document,
-    /// otherwise transport/protocol errors.
+    /// [`ClientError::Protocol`] if it is not JSON at all, otherwise
+    /// transport/protocol errors.
     pub fn submit(
         &mut self,
         request_json: &str,
         progress_every: usize,
     ) -> Result<Submit, ClientError> {
-        self.send(&ClientMessage::render_solve(request_json, progress_every))?;
+        let request = Value::parse(request_json)
+            .map_err(|e| protocol_err(&format!("request document is not valid JSON: {e}")))?;
+        self.send(&ClientMessage::render_solve(request, progress_every))?;
         let reply = self.read_reply(&["accepted", "busy"])?;
         match frame_type(&reply)? {
-            "accepted" => Ok(Submit::Accepted(u64_field(&reply, "job")?)),
+            "accepted" => Ok(Submit::Accepted(field(&reply, "job", Value::as_u64)?)),
             _ => Ok(Submit::Busy {
-                capacity: u64_field(&reply, "capacity")? as usize,
+                capacity: field(&reply, "capacity", Value::as_usize)?,
             }),
         }
     }
@@ -146,12 +149,12 @@ impl ServeClient {
             let frame = match self
                 .stashed
                 .iter()
-                .position(|f| u64_field(f, "job").ok() == Some(job))
+                .position(|f| f.get("job").and_then(Value::as_u64) == Some(job))
             {
                 Some(index) => self.stashed.remove(index).expect("index in bounds"),
                 None => {
                     let frame = self.read_socket_frame()?;
-                    if u64_field(&frame, "job").ok() != Some(job) {
+                    if frame.get("job").and_then(Value::as_u64) != Some(job) {
                         self.stashed.push_back(frame);
                         continue;
                     }
@@ -160,20 +163,17 @@ impl ServeClient {
             };
             match frame_type(&frame)? {
                 "progress" => progress.push(ProgressSample {
-                    candidate: u64_field(&frame, "candidate")? as usize,
-                    reward: f64_field(&frame, "reward")?,
-                    best_reward: f64_field(&frame, "best_reward")?,
+                    candidate: field(&frame, "candidate", Value::as_usize)?,
+                    reward: field(&frame, "reward", Value::as_f64)?,
+                    best_reward: field(&frame, "best_reward", Value::as_f64)?,
                 }),
                 "outcome" => {
-                    let outcome = frame
-                        .get("outcome")
-                        .cloned()
-                        .ok_or_else(|| protocol_err("outcome frame has no `outcome`"))?;
+                    let outcome = field(&frame, "outcome", Some)?.clone();
                     return Ok(JobResult { outcome, progress });
                 }
                 "failed" => {
                     return Err(ClientError::Remote(
-                        str_field(&frame, "message")?.to_string(),
+                        field(&frame, "message", Value::as_str)?.to_string(),
                     ));
                 }
                 other => {
@@ -194,7 +194,7 @@ impl ServeClient {
     pub fn status(&mut self, job: u64) -> Result<String, ClientError> {
         self.send(&ClientMessage::render_status(job))?;
         let reply = self.read_reply(&["status"])?;
-        Ok(str_field(&reply, "state")?.to_string())
+        Ok(field(&reply, "state", Value::as_str)?.to_string())
     }
 
     /// Cancels a queued job; `true` if it was removed before running.
@@ -205,10 +205,7 @@ impl ServeClient {
     pub fn cancel(&mut self, job: u64) -> Result<bool, ClientError> {
         self.send(&ClientMessage::render_cancel(job))?;
         let reply = self.read_reply(&["cancelled"])?;
-        match reply.get("ok") {
-            Some(Value::Bool(ok)) => Ok(*ok),
-            _ => Err(protocol_err("cancelled frame has no boolean `ok`")),
-        }
+        field(&reply, "ok", Value::as_bool)
     }
 
     /// Fetches cache + scheduler telemetry.
@@ -219,26 +216,22 @@ impl ServeClient {
     pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
         self.send(&ClientMessage::render_stats())?;
         let reply = self.read_reply(&["stats"])?;
-        let cache = reply
-            .get("cache")
-            .ok_or_else(|| protocol_err("stats frame has no `cache`"))?;
-        let scheduler = reply
-            .get("scheduler")
-            .ok_or_else(|| protocol_err("stats frame has no `scheduler`"))?;
-        let field = |doc: &Value, key: &str| u64_field(doc, key).map(|v| v as usize);
+        let cache = field(&reply, "cache", Some)?;
+        let scheduler = field(&reply, "scheduler", Some)?;
+        let count = |doc, key| field(doc, key, Value::as_usize);
         Ok(StatsReport {
-            cache_models: field(cache, "models")?,
-            cache_hits: field(cache, "hits")?,
-            cache_misses: field(cache, "misses")?,
+            cache_models: count(cache, "models")?,
+            cache_hits: count(cache, "hits")?,
+            cache_misses: count(cache, "misses")?,
             scheduler: SchedulerStats {
-                workers: field(scheduler, "workers")?,
-                capacity: field(scheduler, "capacity")?,
-                queued: field(scheduler, "queued")?,
-                running: field(scheduler, "running")?,
-                admitted: field(scheduler, "admitted")?,
-                completed: field(scheduler, "completed")?,
-                failed: field(scheduler, "failed")?,
-                cancelled: field(scheduler, "cancelled")?,
+                workers: count(scheduler, "workers")?,
+                capacity: count(scheduler, "capacity")?,
+                queued: count(scheduler, "queued")?,
+                running: count(scheduler, "running")?,
+                admitted: count(scheduler, "admitted")?,
+                completed: count(scheduler, "completed")?,
+                failed: count(scheduler, "failed")?,
+                cancelled: count(scheduler, "cancelled")?,
             },
         })
     }
@@ -254,10 +247,7 @@ impl ServeClient {
     pub fn metrics(&mut self) -> Result<Value, ClientError> {
         self.send(&ClientMessage::render_metrics())?;
         let reply = self.read_reply(&["metrics"])?;
-        reply
-            .get("metrics")
-            .cloned()
-            .ok_or_else(|| protocol_err("metrics frame has no `metrics`"))
+        field(&reply, "metrics", Some).cloned()
     }
 
     /// Requests graceful shutdown; returns the number of jobs the daemon
@@ -269,7 +259,7 @@ impl ServeClient {
     pub fn shutdown(&mut self) -> Result<usize, ClientError> {
         self.send(&ClientMessage::render_shutdown())?;
         let reply = self.read_reply(&["shutdown"])?;
-        u64_field(&reply, "draining").map(|v| v as usize)
+        field(&reply, "draining", Value::as_usize)
     }
 
     fn send(&mut self, payload: &str) -> io::Result<()> {
@@ -291,7 +281,7 @@ impl ServeClient {
             match kind {
                 "error" => {
                     return Err(ClientError::Remote(
-                        str_field(&frame, "message")?.to_string(),
+                        field(&frame, "message", Value::as_str)?.to_string(),
                     ));
                 }
                 "progress" | "outcome" | "failed" => self.stashed.push_back(frame),
@@ -328,31 +318,14 @@ fn protocol_err(message: &str) -> ClientError {
 }
 
 fn frame_type(frame: &Value) -> Result<&str, ClientError> {
-    frame
-        .get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| protocol_err("frame has no `type`"))
+    field(frame, "type", Value::as_str)
 }
 
-fn str_field<'a>(frame: &'a Value, key: &str) -> Result<&'a str, ClientError> {
-    frame
-        .get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| protocol_err(&format!("frame has no `{key}` string")))
-}
-
-fn f64_field(frame: &Value, key: &str) -> Result<f64, ClientError> {
-    frame
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| protocol_err(&format!("frame has no `{key}` number")))
-}
-
-fn u64_field(frame: &Value, key: &str) -> Result<u64, ClientError> {
-    match frame.get(key).and_then(Value::as_f64) {
-        Some(v) if v.fract() == 0.0 && v >= 0.0 => Ok(v as u64),
-        _ => Err(protocol_err(&format!(
-            "frame has no non-negative integer `{key}`"
-        ))),
-    }
+/// A required typed field of a frame (see [`Value::field`]).
+fn field<'a, T>(
+    frame: &'a Value,
+    key: &str,
+    read: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<T, ClientError> {
+    frame.field(key, read).map_err(ClientError::Protocol)
 }

@@ -5,23 +5,22 @@
 //! Every message in either direction is one *frame*: a 4-byte big-endian
 //! unsigned length followed by that many bytes of UTF-8 JSON. Frames are
 //! bounded by [`MAX_FRAME_BYTES`]; a peer announcing a larger frame is
-//! malformed and the connection is closed. The JSON payload is parsed by
-//! the hardened `rlplanner::minijson` parser (nesting bounded by
-//! [`rlplanner::minijson::MAX_DEPTH`]), so adversarial documents fail with
-//! an error frame instead of exhausting the stack.
+//! malformed and the connection is closed. The JSON payload is one compact
+//! line rendered and parsed by [`rlp_obs::json`] (linear-time parsing,
+//! nesting bounded by [`rlp_obs::json::MAX_DEPTH`]), so adversarial
+//! documents fail with an error frame instead of exhausting the stack.
 //!
 //! # Client → server messages
 //!
 //! Every message carries `"schema": "rlplanner.rpc/v1"` and a `"type"`:
 //!
 //! ```json
-//! { "schema": "rlplanner.rpc/v1", "type": "solve",
-//!   "progress_every": 0, "request": { ...rlplanner.request/v1... } }
-//! { "schema": "rlplanner.rpc/v1", "type": "status",  "job": 3 }
-//! { "schema": "rlplanner.rpc/v1", "type": "cancel",  "job": 3 }
-//! { "schema": "rlplanner.rpc/v1", "type": "stats" }
-//! { "schema": "rlplanner.rpc/v1", "type": "metrics" }
-//! { "schema": "rlplanner.rpc/v1", "type": "shutdown" }
+//! {"schema":"rlplanner.rpc/v1","type":"solve","progress_every":0,"request":{...rlplanner.request/v1...}}
+//! {"schema":"rlplanner.rpc/v1","type":"status","job":3}
+//! {"schema":"rlplanner.rpc/v1","type":"cancel","job":3}
+//! {"schema":"rlplanner.rpc/v1","type":"stats"}
+//! {"schema":"rlplanner.rpc/v1","type":"metrics"}
+//! {"schema":"rlplanner.rpc/v1","type":"shutdown"}
 //! ```
 //!
 //! `solve` embeds a full `rlplanner.request/v1` document (see
@@ -32,26 +31,19 @@
 //! # Server → client messages
 //!
 //! ```json
-//! { "schema": "rlplanner.rpc/v1", "type": "accepted",  "job": 3 }
-//! { "schema": "rlplanner.rpc/v1", "type": "busy",      "capacity": 16 }
-//! { "schema": "rlplanner.rpc/v1", "type": "error",     "message": "..." }
-//! { "schema": "rlplanner.rpc/v1", "type": "progress",  "job": 3,
-//!   "candidate": 40, "reward": -2.1, "best_reward": -1.9 }
-//! { "schema": "rlplanner.rpc/v1", "type": "outcome",   "job": 3,
-//!   "queue_ms": 0.41, "solve_ms": 141.2,
-//!   "outcome": { ...rlplanner.outcome/v1... } }
-//! { "schema": "rlplanner.rpc/v1", "type": "failed",    "job": 3, "message": "...",
-//!   "queue_ms": 0.41, "solve_ms": 141.2 }
-//! { "schema": "rlplanner.rpc/v1", "type": "status",    "job": 3, "state": "queued",
-//!   "queue_ms": 12.5 }
-//! { "schema": "rlplanner.rpc/v1", "type": "cancelled", "job": 3, "ok": true }
-//! { "schema": "rlplanner.rpc/v1", "type": "stats",
-//!   "cache": { "models": 1, "hits": 7, "misses": 1 },
-//!   "scheduler": { "workers": 2, "capacity": 16, "queued": 0, "running": 1,
-//!                  "admitted": 8, "completed": 7, "failed": 0, "cancelled": 0 } }
-//! { "schema": "rlplanner.rpc/v1", "type": "metrics",
-//!   "metrics": { ...rlplanner.metrics/v1... } }
-//! { "schema": "rlplanner.rpc/v1", "type": "shutdown", "draining": 2 }
+//! {"schema":"rlplanner.rpc/v1","type":"accepted","job":3}
+//! {"schema":"rlplanner.rpc/v1","type":"busy","capacity":16}
+//! {"schema":"rlplanner.rpc/v1","type":"error","message":"..."}
+//! {"schema":"rlplanner.rpc/v1","type":"progress","job":3,"candidate":40,"reward":-2.1,"best_reward":-1.9}
+//! {"schema":"rlplanner.rpc/v1","type":"outcome","job":3,"queue_ms":0.41,"solve_ms":141.2,
+//!  "outcome":{...rlplanner.outcome/v1...}}
+//! {"schema":"rlplanner.rpc/v1","type":"failed","job":3,"message":"...","queue_ms":0.41,"solve_ms":141.2}
+//! {"schema":"rlplanner.rpc/v1","type":"status","job":3,"state":"queued","queue_ms":12.5}
+//! {"schema":"rlplanner.rpc/v1","type":"cancelled","job":3,"ok":true}
+//! {"schema":"rlplanner.rpc/v1","type":"stats","cache":{"models":1,"hits":7,"misses":1},
+//!  "scheduler":{"workers":2,"capacity":16,"queued":0,"running":1,"admitted":8,"completed":7,"failed":0,"cancelled":0}}
+//! {"schema":"rlplanner.rpc/v1","type":"metrics","metrics":{...rlplanner.metrics/v1...}}
+//! {"schema":"rlplanner.rpc/v1","type":"shutdown","draining":2}
 //! ```
 //!
 //! Request/response pairs (`accepted`/`busy`/`error`, `status`,
@@ -72,9 +64,11 @@
 //! finish; absent until the job is dispatched — on `status` frames a
 //! running job reports its still-growing value). Like `runtime_s` inside
 //! the outcome document, these are VOLATILE fields: they vary run to run
-//! and must be stripped before byte-comparing a served solve against a
-//! direct one. The embedded `outcome` document itself is unchanged and
-//! stays byte-identical on its deterministic fields.
+//! and must be stripped before comparing a served solve against a direct
+//! one. The embedded `outcome` document is the same value tree as the
+//! direct render (compact rather than pretty): re-rendered with
+//! `rlplanner::report::outcome_json` it matches byte for byte on its
+//! deterministic fields.
 //!
 //! `metrics` replies embed a full `rlplanner.metrics/v1` registry
 //! snapshot (see `rlp_obs::MetricsSnapshot::render_json` for the schema):
@@ -83,8 +77,8 @@
 //! `serve.job.solve_ns`, `serve.job.serialize_ns` and
 //! `serve.job.flush_ns`.
 
-use rlplanner::minijson::Value;
-use rlplanner::report::{json_escape, json_num};
+use rlp_obs::json::Value;
+use rlp_obs::json_object;
 use std::io::{self, Read, Write};
 
 /// Identifier carried by every rpc message in both directions.
@@ -194,11 +188,10 @@ impl ClientMessage {
             .get("type")
             .and_then(Value::as_str)
             .ok_or("message has no `type` string")?;
-        let job = |doc: &Value| -> Result<u64, String> {
-            match doc.get("job").and_then(Value::as_f64) {
-                Some(v) if v.fract() == 0.0 && v >= 0.0 => Ok(v as u64),
-                _ => Err(format!("`{kind}` needs a non-negative integer `job`")),
-            }
+        let job = |doc: &Value| {
+            doc.get("job")
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("`{kind}` needs a non-negative integer `job`"))
         };
         match kind {
             "solve" => {
@@ -208,10 +201,9 @@ impl ClientMessage {
                     .ok_or("`solve` needs a `request` document")?;
                 let progress_every = match doc.get("progress_every") {
                     None | Some(Value::Null) => 0,
-                    Some(value) => match value.as_f64() {
-                        Some(v) if v.fract() == 0.0 && v >= 0.0 => v as usize,
-                        _ => return Err("`progress_every` must be a non-negative integer".into()),
-                    },
+                    Some(value) => value
+                        .as_usize()
+                        .ok_or("`progress_every` must be a non-negative integer")?,
                 };
                 Ok(ClientMessage::Solve {
                     request,
@@ -227,39 +219,49 @@ impl ClientMessage {
         }
     }
 
-    /// Renders a `solve` message embedding an already-rendered
-    /// `rlplanner.request/v1` document.
-    pub fn render_solve(request_json: &str, progress_every: usize) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"solve\", \
-             \"progress_every\": {progress_every}, \"request\": {request_json} }}"
+    /// Renders a `solve` message embedding an `rlplanner.request/v1`
+    /// document.
+    pub fn render_solve(request: Value, progress_every: usize) -> String {
+        message(
+            "solve",
+            json_object! { "progress_every": progress_every, "request": request },
         )
     }
 
     /// Renders a `status` query.
     pub fn render_status(job: u64) -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"status\", \"job\": {job} }}")
+        message("status", json_object! { "job": job })
     }
 
     /// Renders a `cancel` request.
     pub fn render_cancel(job: u64) -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"cancel\", \"job\": {job} }}")
+        message("cancel", json_object! { "job": job })
     }
 
     /// Renders a `stats` query.
     pub fn render_stats() -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"stats\" }}")
+        message("stats", json_object! {})
     }
 
     /// Renders a `metrics` query.
     pub fn render_metrics() -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"metrics\" }}")
+        message("metrics", json_object! {})
     }
 
     /// Renders a `shutdown` request.
     pub fn render_shutdown() -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"shutdown\" }}")
+        message("shutdown", json_object! {})
     }
+}
+
+/// Renders one compact rpc message: `schema`, `type`, then the members of
+/// `fields` in order. Every frame in both directions goes through here.
+fn message(kind: &str, fields: Value) -> String {
+    let mut frame = json_object! { "schema": RPC_SCHEMA, "type": kind };
+    if let (Value::Obj(members), Value::Obj(extra)) = (&mut frame, fields) {
+        members.extend(extra);
+    }
+    frame.render()
 }
 
 /// Scheduler-side counters reported by a `stats` frame.
@@ -289,121 +291,102 @@ pub mod frames {
     use crate::queue::JobTimings;
     use rlp_thermal::ThermalCacheSnapshot;
 
-    /// Renders the VOLATILE `queue_ms`/`solve_ms` fields job frames carry
-    /// (empty string when the queue had no record of the job).
-    fn timing_fields(timings: Option<&JobTimings>) -> String {
-        let Some(timings) = timings else {
-            return String::new();
-        };
-        let mut out = format!(", \"queue_ms\": {}", json_num(timings.queue_ms()));
-        if let Some(solve_ms) = timings.solve_ms() {
-            out.push_str(&format!(", \"solve_ms\": {}", json_num(solve_ms)));
+    /// Appends the VOLATILE `queue_ms`/`solve_ms` fields job frames carry
+    /// (none when the queue had no record of the job).
+    fn with_timings(mut fields: Value, timings: Option<&JobTimings>) -> Value {
+        if let Some(timings) = timings {
+            fields.push("queue_ms", timings.queue_ms());
+            if let Some(solve_ms) = timings.solve_ms() {
+                fields.push("solve_ms", solve_ms);
+            }
         }
-        out
+        fields
     }
 
     /// `accepted` — the job was admitted under this id.
     pub fn accepted(job: u64) -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"accepted\", \"job\": {job} }}")
+        message("accepted", json_object! { "job": job })
     }
 
     /// `busy` — the queue was full; the request was not admitted.
     pub fn busy(capacity: usize) -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"busy\", \"capacity\": {capacity} }}")
+        message("busy", json_object! { "capacity": capacity })
     }
 
     /// `error` — the request was malformed or inadmissible.
-    pub fn error(message: &str) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"error\", \"message\": \"{}\" }}",
-            json_escape(message)
-        )
+    pub fn error(text: &str) -> String {
+        message("error", json_object! { "message": text })
     }
 
     /// `progress` — one streamed candidate from a running job.
     pub fn progress(job: u64, candidate: usize, reward: f64, best_reward: f64) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"progress\", \"job\": {job}, \
-             \"candidate\": {candidate}, \"reward\": {}, \"best_reward\": {} }}",
-            json_num(reward),
-            json_num(best_reward)
+        message(
+            "progress",
+            json_object! {
+                "job": job,
+                "candidate": candidate,
+                "reward": reward,
+                "best_reward": best_reward,
+            },
         )
     }
 
-    /// `outcome` — the job finished; embeds the canonical outcome document
-    /// plus the VOLATILE job timings (see the [module docs](super)).
-    pub fn outcome(job: u64, outcome_json: &str, timings: Option<&JobTimings>) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"outcome\", \"job\": {job}{}, \
-             \"outcome\": {outcome_json} }}",
-            timing_fields(timings)
-        )
+    /// `outcome` — the job finished; embeds the outcome document plus the
+    /// VOLATILE job timings (see the [module docs](super)).
+    pub fn outcome(job: u64, outcome: Value, timings: Option<&JobTimings>) -> String {
+        let mut fields = with_timings(json_object! { "job": job }, timings);
+        fields.push("outcome", outcome);
+        message("outcome", fields)
     }
 
     /// `failed` — the job's solve returned an error.
-    pub fn failed(job: u64, message: &str, timings: Option<&JobTimings>) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"failed\", \"job\": {job}, \
-             \"message\": \"{}\"{} }}",
-            json_escape(message),
-            timing_fields(timings)
-        )
+    pub fn failed(job: u64, text: &str, timings: Option<&JobTimings>) -> String {
+        let fields = json_object! { "job": job, "message": text };
+        message("failed", with_timings(fields, timings))
     }
 
     /// `status` — a job's lifecycle state, with the timings measured so
     /// far for a known job (`solve_ms` still growing while running).
     pub fn status(job: u64, state: &str, timings: Option<&JobTimings>) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"status\", \"job\": {job}, \
-             \"state\": \"{state}\"{} }}",
-            timing_fields(timings)
-        )
+        let fields = json_object! { "job": job, "state": state };
+        message("status", with_timings(fields, timings))
     }
 
     /// `cancelled` — whether a cancel request removed the queued job.
     pub fn cancelled(job: u64, ok: bool) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"cancelled\", \"job\": {job}, \
-             \"ok\": {ok} }}"
-        )
+        message("cancelled", json_object! { "job": job, "ok": ok })
     }
 
     /// `stats` — cache + scheduler telemetry.
     pub fn stats(cache: ThermalCacheSnapshot, scheduler: SchedulerStats) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"stats\", \
-             \"cache\": {{ \"models\": {}, \"hits\": {}, \"misses\": {} }}, \
-             \"scheduler\": {{ \"workers\": {}, \"capacity\": {}, \"queued\": {}, \
-             \"running\": {}, \"admitted\": {}, \"completed\": {}, \"failed\": {}, \
-             \"cancelled\": {} }} }}",
-            cache.models,
-            cache.stats.hits,
-            cache.stats.misses,
-            scheduler.workers,
-            scheduler.capacity,
-            scheduler.queued,
-            scheduler.running,
-            scheduler.admitted,
-            scheduler.completed,
-            scheduler.failed,
-            scheduler.cancelled,
-        )
+        let fields = json_object! {
+            "cache": json_object! {
+                "models": cache.models,
+                "hits": cache.stats.hits,
+                "misses": cache.stats.misses,
+            },
+            "scheduler": json_object! {
+                "workers": scheduler.workers,
+                "capacity": scheduler.capacity,
+                "queued": scheduler.queued,
+                "running": scheduler.running,
+                "admitted": scheduler.admitted,
+                "completed": scheduler.completed,
+                "failed": scheduler.failed,
+                "cancelled": scheduler.cancelled,
+            },
+        };
+        message("stats", fields)
     }
 
-    /// `metrics` — embeds an already-rendered `rlplanner.metrics/v1`
-    /// registry snapshot.
-    pub fn metrics(snapshot_json: &str) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"metrics\", \
-             \"metrics\": {snapshot_json} }}"
-        )
+    /// `metrics` — embeds an `rlplanner.metrics/v1` registry snapshot.
+    pub fn metrics(snapshot: Value) -> String {
+        message("metrics", json_object! { "metrics": snapshot })
     }
 
     /// `shutdown` — acknowledgement; `draining` jobs remained at the time.
     pub fn shutdown(draining: usize) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"shutdown\", \"draining\": {draining} }}"
-        )
+        message("shutdown", json_object! { "draining": draining })
     }
 }
 
@@ -449,7 +432,8 @@ mod tests {
 
     #[test]
     fn client_messages_parse_and_render() {
-        let solve = ClientMessage::render_solve("{ \"schema\": \"rlplanner.request/v1\" }", 25);
+        let request = Value::parse("{ \"schema\": \"rlplanner.request/v1\" }").unwrap();
+        let solve = ClientMessage::render_solve(request, 25);
         match ClientMessage::parse(&solve).unwrap() {
             ClientMessage::Solve {
                 request,
@@ -463,10 +447,13 @@ mod tests {
             }
             other => panic!("parsed as {other:?}"),
         }
-        assert!(matches!(
-            ClientMessage::parse(&ClientMessage::render_status(3)).unwrap(),
-            ClientMessage::Status { job: 3 }
-        ));
+        // Job ids are exact over the whole u64 range, past 2^53 included.
+        for job in [3, (1u64 << 53) + 1, u64::MAX] {
+            assert!(matches!(
+                ClientMessage::parse(&ClientMessage::render_status(job)).unwrap(),
+                ClientMessage::Status { job: parsed } if parsed == job
+            ));
+        }
         assert!(matches!(
             ClientMessage::parse(&ClientMessage::render_cancel(9)).unwrap(),
             ClientMessage::Cancel { job: 9 }
@@ -530,13 +517,19 @@ mod tests {
             (frames::busy(16), "busy"),
             (frames::error("no"), "error"),
             (frames::progress(1, 0, -2.0, -2.0), "progress"),
-            (frames::outcome(1, "{}", Some(&timings)), "outcome"),
+            (
+                frames::outcome(1, Value::Obj(vec![]), Some(&timings)),
+                "outcome",
+            ),
             (frames::failed(1, "oops", Some(&timings)), "failed"),
             (frames::status(1, "queued", None), "status"),
             (frames::cancelled(1, true), "cancelled"),
             (frames::stats(cache, scheduler), "stats"),
             (
-                frames::metrics("{ \"schema\": \"rlplanner.metrics/v1\" }"),
+                frames::metrics(Value::object([(
+                    "schema",
+                    Value::from("rlplanner.metrics/v1"),
+                )])),
                 "metrics",
             ),
             (frames::shutdown(0), "shutdown"),
@@ -557,7 +550,7 @@ mod tests {
             queue_wait: std::time::Duration::from_millis(13),
             run: None,
         };
-        let outcome = frames::outcome(3, "{}", Some(&dispatched));
+        let outcome = frames::outcome(3, Value::Obj(vec![]), Some(&dispatched));
         let doc = Value::parse(&outcome).unwrap();
         assert_eq!(doc.get("queue_ms").and_then(Value::as_f64), Some(0.41));
         assert_eq!(doc.get("solve_ms").and_then(Value::as_f64), Some(141.0));
@@ -570,14 +563,38 @@ mod tests {
         let doc = Value::parse(&unknown).unwrap();
         assert!(doc.get("queue_ms").is_none());
         // The embedded metrics snapshot round-trips through the parser.
-        let metrics =
-            frames::metrics("{ \"schema\": \"rlplanner.metrics/v1\", \"counters\": { \"a\": 1 } }");
+        let snapshot =
+            Value::parse("{ \"schema\": \"rlplanner.metrics/v1\", \"counters\": { \"a\": 1 } }")
+                .unwrap();
+        let metrics = frames::metrics(snapshot);
         let doc = Value::parse(&metrics).unwrap();
         assert_eq!(
             doc.get("metrics")
                 .and_then(|m| m.get("schema"))
                 .and_then(Value::as_str),
             Some("rlplanner.metrics/v1")
+        );
+    }
+
+    #[test]
+    fn megabyte_solve_frames_parse_in_linear_time() {
+        // About 2 MiB of chiplet-name text, multi-byte characters included.
+        let names: Vec<Value> = (0..16_384)
+            .map(|i| Value::from(format!("chiplet-{i}-{}", "ab\u{e9}\u{1F600}".repeat(16))))
+            .collect();
+        let request = json_object! { "schema": "rlplanner.request/v1", "names": Value::Arr(names) };
+        let frame = ClientMessage::render_solve(request, 0);
+        assert!(frame.len() > 2 << 20, "frame is only {} bytes", frame.len());
+        let started = std::time::Instant::now();
+        assert!(matches!(
+            ClientMessage::parse(&frame).unwrap(),
+            ClientMessage::Solve { .. }
+        ));
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "parsing a {}-byte frame took {elapsed:?}",
+            frame.len()
         );
     }
 }

@@ -20,7 +20,7 @@
 use crate::protocol::{self, frames, ClientMessage, SchedulerStats};
 use crate::queue::{AdmitError, JobQueue, JobState};
 use rlp_thermal::ThermalModelCache;
-use rlplanner::report::outcome_json;
+use rlplanner::report::outcome_value;
 use rlplanner::{
     planner_for, request_from_value, FloorplanOutcome, FloorplanRequest, Method, PlanError,
     PolicyFile, PrebuiltThermal, PreloadedPolicy, SolveObserver,
@@ -74,14 +74,16 @@ impl ConnWriter {
         }
     }
 
-    /// Writes one frame; a failed or closed connection drops the frame and
-    /// marks the writer dead so later sends return immediately.
-    fn send(&self, payload: &str) {
-        if !self.alive.load(Ordering::Acquire) {
-            return;
-        }
+    /// Builds one frame with the writer locked and sends it, so no other
+    /// thread's frame can land between `frame`'s effects and the frame
+    /// itself. A failed or closed connection drops the frame and marks the
+    /// writer dead.
+    fn send(&self, frame: impl FnOnce() -> String) {
         let mut stream = self.stream.lock().expect("connection writer poisoned");
-        if protocol::write_frame(&mut *stream, payload).is_err() {
+        let payload = frame();
+        if self.alive.load(Ordering::Acquire)
+            && protocol::write_frame(&mut *stream, &payload).is_err()
+        {
             self.alive.store(false, Ordering::Release);
         }
     }
@@ -136,7 +138,7 @@ impl SolveObserver for ProgressStreamer {
     fn on_candidate(&mut self, index: usize, reward: f64, best_reward: f64) {
         if self.every != 0 && index.is_multiple_of(self.every) {
             self.writer
-                .send(&frames::progress(self.job, index, reward, best_reward));
+                .send(|| frames::progress(self.job, index, reward, best_reward));
         }
     }
 }
@@ -270,13 +272,16 @@ fn run_worker(shared: &Shared) {
         match solve_job(id, &job, shared) {
             Ok(outcome) => {
                 solve_timer.stop(rlp_obs::obs_histogram!("serve.job.solve_ns"));
-                let serialize_timer = rlp_obs::Stopwatch::start();
-                let rendered = outcome_json(job.request.system(), &outcome);
-                serialize_timer.stop(rlp_obs::obs_histogram!("serve.job.serialize_ns"));
                 let timings = shared.queue.finish(id, JobState::Done);
+                let serialize_timer = rlp_obs::Stopwatch::start();
+                let frame = frames::outcome(
+                    id,
+                    outcome_value(job.request.system(), &outcome),
+                    Some(&timings),
+                );
+                serialize_timer.stop(rlp_obs::obs_histogram!("serve.job.serialize_ns"));
                 let flush_timer = rlp_obs::Stopwatch::start();
-                job.writer
-                    .send(&frames::outcome(id, &rendered, Some(&timings)));
+                job.writer.send(|| frame);
                 flush_timer.stop(rlp_obs::obs_histogram!("serve.job.flush_ns"));
                 record_finished_job(&timings, true);
                 span.field("state", "done");
@@ -285,7 +290,7 @@ fn run_worker(shared: &Shared) {
             Err(e) => {
                 let timings = shared.queue.finish(id, JobState::Failed);
                 job.writer
-                    .send(&frames::failed(id, &e.to_string(), Some(&timings)));
+                    .send(|| frames::failed(id, &e.to_string(), Some(&timings)));
                 record_finished_job(&timings, false);
                 span.field("state", "failed");
                 rlp_obs::obs_event!(
@@ -375,7 +380,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
     while let Ok(Some(payload)) = protocol::read_frame(&mut reader) {
         match ClientMessage::parse(&payload) {
             Ok(message) => handle_message(message, &writer, shared, conn_id),
-            Err(description) => writer.send(&frames::error(&description)),
+            Err(description) => writer.send(|| frames::error(&description)),
         }
     }
     writer.close();
@@ -405,7 +410,7 @@ fn handle_message(
             let request = match request_from_value(&request) {
                 Ok(request) => request,
                 Err(e) => {
-                    writer.send(&frames::error(&e.to_string()));
+                    writer.send(|| frames::error(&e.to_string()));
                     return;
                 }
             };
@@ -415,7 +420,9 @@ fn handle_message(
                 writer: Arc::clone(writer),
                 conn_id,
             };
-            match shared.queue.admit(job) {
+            // Admit with the writer held: a fast job's own frames must not
+            // reach the client before its `accepted`.
+            writer.send(|| match shared.queue.admit(job) {
                 Ok(id) => {
                     rlp_obs::obs_counter!("serve.jobs.admitted").inc();
                     if rlp_obs::metrics_enabled() {
@@ -429,44 +436,40 @@ fn handle_message(
                         job = id,
                         conn = conn_id,
                     );
-                    writer.send(&frames::accepted(id));
+                    frames::accepted(id)
                 }
                 Err(AdmitError::Busy { capacity }) => {
                     rlp_obs::obs_counter!("serve.jobs.rejected").inc();
-                    writer.send(&frames::busy(capacity));
+                    frames::busy(capacity)
                 }
-                Err(AdmitError::ShuttingDown) => {
-                    writer.send(&frames::error("daemon is shutting down"));
-                }
-            }
+                Err(AdmitError::ShuttingDown) => frames::error("daemon is shutting down"),
+            });
         }
         ClientMessage::Status { job } => {
             let state = shared.queue.state(job).map_or("unknown", JobState::label);
             let timings = shared.queue.timings(job);
-            writer.send(&frames::status(job, state, timings.as_ref()));
+            writer.send(|| frames::status(job, state, timings.as_ref()));
         }
         ClientMessage::Cancel { job } => {
             let removed = shared.queue.cancel(job);
             if removed {
                 rlp_obs::obs_counter!("serve.jobs.cancelled").inc();
             }
-            writer.send(&frames::cancelled(job, removed));
+            writer.send(|| frames::cancelled(job, removed));
         }
         ClientMessage::Stats => {
-            writer.send(&frames::stats(
-                shared.cache.snapshot(),
-                shared.scheduler_stats(),
-            ));
+            // Snapshot outside the writer lock: the cache's lock can be held
+            // for a whole characterisation.
+            let frame = frames::stats(shared.cache.snapshot(), shared.scheduler_stats());
+            writer.send(|| frame);
         }
         ClientMessage::Metrics => {
-            writer.send(&frames::metrics(
-                &rlp_obs::registry().snapshot().render_json(),
-            ));
+            writer.send(|| frames::metrics(rlp_obs::registry().snapshot().to_value()));
         }
         ClientMessage::Shutdown => {
             let draining = shared.queue.begin_shutdown();
             shared.shutdown.store(true, Ordering::Release);
-            writer.send(&frames::shutdown(draining));
+            writer.send(|| frames::shutdown(draining));
         }
     }
 }

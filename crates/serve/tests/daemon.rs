@@ -4,6 +4,7 @@
 
 use rlp_benchmarks::synthetic_case;
 use rlp_chiplet::ChipletSystem;
+use rlp_obs::json::Value;
 use rlp_sa::SaConfig;
 use rlp_serve::{ClientError, ServeClient, Server, ServerConfig, Submit};
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
@@ -86,7 +87,7 @@ fn start_server_with_policy(
 /// Re-renders a daemon outcome through the canonical renderer; the parse →
 /// render pair is byte-preserving, so this is exactly the document the
 /// daemon rendered.
-fn canonical(outcome: &rlplanner::minijson::Value, system: &ChipletSystem) -> String {
+fn canonical(outcome: &Value, system: &ChipletSystem) -> String {
     let parsed = outcome_from_value(outcome, system).expect("daemon outcome parses");
     outcome_json(system, &parsed)
 }
@@ -113,36 +114,47 @@ fn wait_for_stats(
 
 #[test]
 fn fixed_seed_daemon_solve_is_byte_identical_to_direct_planner() {
-    let request = sa_request(400, 7);
-    let direct = outcome_json(
-        request.system(),
-        &request.solve().expect("direct solve succeeds"),
-    );
-
     let (addr, server) = start_server(2, 4);
     let mut client = ServeClient::connect(addr).expect("connect");
-    let document = request_json(&request);
 
-    // Two identical solves: the second must hit the shared thermal cache.
-    for round in 0..2 {
-        let Submit::Accepted(job) = client.submit(&document, 0).expect("submit") else {
-            panic!("empty daemon rejected a solve");
-        };
-        let result = client.wait_outcome(job).expect("job completes");
-        assert!(result.progress.is_empty(), "streaming was not requested");
-        let served = canonical(&result.outcome, request.system());
-        assert_eq!(
-            deterministic_projection(&served),
-            deterministic_projection(&direct),
-            "served solve diverged from the direct planner on round {round}"
+    // Seed 2^53 + 1 has no exact f64: it must still reach the daemon
+    // unrounded, or the served solve would run a different seed.
+    let seeds = [7, (1u64 << 53) + 1];
+    for seed in seeds {
+        let request = sa_request(400, seed);
+        let direct = outcome_json(
+            request.system(),
+            &request.solve().expect("direct solve succeeds"),
         );
+        let document = request_json(&request);
+
+        // Two identical solves: the second must hit the shared thermal cache.
+        for round in 0..2 {
+            let Submit::Accepted(job) = client.submit(&document, 0).expect("submit") else {
+                panic!("empty daemon rejected a solve");
+            };
+            let result = client.wait_outcome(job).expect("job completes");
+            assert!(result.progress.is_empty(), "streaming was not requested");
+            let manifest_seed = result
+                .outcome
+                .get("manifest")
+                .and_then(|m| m.get("seed"))
+                .and_then(Value::as_u64);
+            assert_eq!(manifest_seed, Some(seed), "the daemon solved another seed");
+            let served = canonical(&result.outcome, request.system());
+            assert_eq!(
+                deterministic_projection(&served),
+                deterministic_projection(&direct),
+                "served solve diverged from the direct planner on seed {seed}, round {round}"
+            );
+        }
     }
 
     let stats = client.stats().expect("stats reply");
     assert_eq!(stats.cache_models, 1, "one distinct thermal configuration");
     assert_eq!(stats.cache_misses, 1, "characterised exactly once");
-    assert!(stats.cache_hits >= 1, "second solve hit the cache");
-    assert_eq!(stats.scheduler.completed, 2);
+    assert!(stats.cache_hits >= 1, "later solves hit the cache");
+    assert_eq!(stats.scheduler.completed, 2 * seeds.len());
 
     assert_eq!(client.shutdown().expect("shutdown ack"), 0);
     server.join().expect("server thread").expect("clean exit");
@@ -312,9 +324,49 @@ fn malformed_and_inadmissible_documents_are_remote_errors() {
 }
 
 #[test]
+fn accepted_always_precedes_the_jobs_own_frames() {
+    use rlp_serve::protocol::{self, ClientMessage};
+    use std::net::TcpStream;
+
+    // One-evaluation solves on a warm cache finish in well under a
+    // millisecond, so a worker can be done before the connection thread
+    // answers the submission; the daemon must still send `accepted` first.
+    let (addr, server) = start_server(2, 64);
+    let request = Value::parse(&request_json(&sa_request(1, 3))).expect("valid request");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    const JOBS: usize = 24;
+    for _ in 0..JOBS {
+        let frame = ClientMessage::render_solve(request.clone(), 0);
+        protocol::write_frame(&mut stream, &frame).expect("send solve");
+    }
+    let mut accepted = std::collections::HashSet::new();
+    let mut outcomes = 0;
+    while outcomes < JOBS {
+        let payload = protocol::read_frame(&mut stream)
+            .expect("read frame")
+            .expect("daemon closed early");
+        let frame = Value::parse(&payload).expect("valid frame");
+        let job = frame.get("job").and_then(Value::as_u64).expect("job id");
+        match frame.get("type").and_then(Value::as_str) {
+            Some("accepted") => assert!(accepted.insert(job)),
+            Some("outcome") => {
+                assert!(
+                    accepted.contains(&job),
+                    "job {job}'s outcome came before its `accepted`"
+                );
+                outcomes += 1;
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    protocol::write_frame(&mut stream, &ClientMessage::render_shutdown()).expect("send shutdown");
+    drop(stream);
+    server.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
 fn metrics_rpc_exposes_a_job_timeline_and_frames_carry_timings() {
     use rlp_serve::protocol::{self, ClientMessage};
-    use rlplanner::minijson::Value;
     use std::net::TcpStream;
 
     // The metrics registry is process-global (the `rlp_serve` binary
@@ -336,7 +388,8 @@ fn metrics_rpc_exposes_a_job_timeline_and_frames_carry_timings() {
         Value::parse(&payload).expect("daemon frames are valid JSON")
     };
 
-    protocol::write_frame(&mut stream, &ClientMessage::render_solve(&document, 0))
+    let request = Value::parse(&document).expect("request documents are valid JSON");
+    protocol::write_frame(&mut stream, &ClientMessage::render_solve(request, 0))
         .expect("send solve");
     let accepted = read(&mut stream);
     assert_eq!(
